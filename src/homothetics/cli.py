@@ -4,7 +4,10 @@ Subcommands: solve, radii, coreset, asym, gen, verify.  Instances travel
 as JSON ({"pointset": {...}, "container": {...}} or a bare pointset plus
 --container); results print to stdout as JSON or CSV.  Exit codes:
 0 success / all checks passed, 1 verification failure, 2 usage or input
-error (diagnostics go to stderr as a JSON object).
+error, 3 solver failure (an LP or enclosing-ball solve that could not
+certify its answer, an exhausted subset budget, or a rejected
+certificate).  Diagnostics for exit codes 2 and 3 go to stderr as a JSON
+object {"error": ...}.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .containment import make_certificate, min_containment
+from .containment import NotOptimalError, make_certificate, min_containment
 from .coresets import extract_zero_coreset, greedy_coreset, optimal_coreset_size
 from .experiments import CSV_HEADER, experiment_ids, run_experiment
 from .geometry import (
@@ -310,6 +313,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 2
+    except (NotOptimalError, RuntimeError) as exc:  # LpError and BudgetExceeded included
+        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

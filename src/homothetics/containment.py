@@ -1,12 +1,23 @@
 """Smallest-homothet containment and optimality certificates.
 
 ``min_containment`` finds the least rho >= 0 and a center c with every
-point of P inside c + rho*C.  Polytopal containers reduce to a linear
-program (half-space or vertex formulation); the Euclidean ball is solved
-by the exact support-set solver.  ``make_certificate`` turns a solution
-into touching points, supporting normals and convex weights whose
-weighted normal sum vanishes; on a suboptimal candidate it raises
-``NotOptimalError`` carrying an improving direction.
+point of P inside c + rho*C.  Each container representation has one
+linear program, built in one place and shared by the solver, the
+certificate and the core-set center search:
+
+- facet program (normals a_k): min t with a_k.c + t >= h_k, one row per
+  facet and d+1 variables.  For containment h_k = max_i a_k.p_i, since
+  only the outermost point per facet can bind; each facet weight goes to
+  the lowest-index point attaining h_k, giving the point weights.
+- vertex program (vertices v_j): p_i = c + sum_j mu_ij v_j with
+  sum_j mu_ij = t; its duals give a weight and a supporting normal per
+  point.
+
+The Euclidean ball is solved by the exact support-set solver.
+``make_certificate`` turns a solution into touching points, supporting
+normals and convex weights whose weighted normal sum vanishes; on a
+suboptimal candidate it raises ``NotOptimalError`` carrying an
+improving direction.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from .geometry import (
     DimensionMismatch,
     PointSet,
     Tolerance,
+    _gauge_vpoly,
     gauge,
 )
 from .lp import LinearProgram, LpError, LpStatus, in_convex_hull, solve_lp
@@ -155,64 +167,24 @@ def _solve_ball(P: PointSet, tol: Tolerance) -> Solution:
 
 
 def _solve_hrep(P: PointSet, C: Container, tol: Tolerance) -> Solution:
-    pts, A = P.points, C.normals
-    n, d = pts.shape
-    m = A.shape[0]
-    # variables (c, rho):  a_k.p_i - a_k.c - rho <= 0   for every pair (i, k)
-    lhs = np.zeros((n * m, d + 1))
-    rhs = np.zeros(n * m)
-    for i in range(n):
-        lhs[i * m : (i + 1) * m, :d] = -A
-        lhs[i * m : (i + 1) * m, d] = -1.0
-        rhs[i * m : (i + 1) * m] = -(A @ pts[i])
-    obj = np.zeros(d + 1)
-    obj[d] = 1.0
-    lower = np.concatenate([np.full(d, -np.inf), [0.0]])
-    lp = LinearProgram.new(obj, lhs, ["<="] * (n * m), rhs, lower=lower)
-    res = solve_lp(lp, tol)
-    if res.status is not LpStatus.OPTIMAL:
-        raise LpError(f"containment LP ended {res.status}")
-    center = res.primal[:d]
-    rho = max(0.0, res.value)
-    lam_pairs = np.clip(-res.dual, 0.0, None)
-    total = lam_pairs.sum()
-    if total > 0:
-        lam_pairs /= total
-    duals = lam_pairs.reshape(n, m).sum(axis=1)
-    active_normals = sorted(set(np.nonzero(lam_pairs.reshape(n, m).sum(axis=0) > 1e-9)[0].tolist()))
+    # only the outermost point per facet can bind: h_k = max_i a_k.p_i
+    prods = P.points @ C.normals.T  # (n, m)
+    rho, center, lam = _facet_program(C.normals, prods.max(axis=0), tol)
+    rho = max(0.0, rho)
+    lam = np.clip(lam, 0.0, None)
+    lam /= lam.sum()
+    # each facet weight goes to the lowest-index point attaining h_k
+    duals = np.bincount(np.argmax(prods, axis=0), weights=lam, minlength=len(P))
+    active_normals = np.nonzero(lam > 1e-9)[0].tolist()
     active = touching_indices(P, C, rho, center, tol)
     _verify_cover(P, C, rho, center, tol)
     return Solution(rho, center, tuple(active), tuple(active_normals), duals)
 
 
 def _solve_vrep(P: PointSet, C: Container, tol: Tolerance) -> Solution:
-    pts, V = P.points, C.vertices
-    n, d = pts.shape
-    m = V.shape[0]
-    # variables (c, rho, mu_11..mu_nm):
-    #   sum_j mu_ij v_j + c = p_i          (d rows per point)
-    #   sum_j mu_ij - rho = 0              (1 row per point)
-    nvar = d + 1 + n * m
-    rows = n * (d + 1)
-    lhs = np.zeros((rows, nvar))
-    rhs = np.zeros(rows)
-    for i in range(n):
-        r0 = i * (d + 1)
-        lhs[r0 : r0 + d, :d] = np.eye(d)
-        lhs[r0 : r0 + d, d + 1 + i * m : d + 1 + (i + 1) * m] = V.T
-        rhs[r0 : r0 + d] = pts[i]
-        lhs[r0 + d, d + 1 + i * m : d + 1 + (i + 1) * m] = 1.0
-        lhs[r0 + d, d] = -1.0
-    obj = np.zeros(nvar)
-    obj[d] = 1.0
-    lower = np.concatenate([np.full(d, -np.inf), np.zeros(1 + n * m)])
-    lp = LinearProgram.new(obj, lhs, ["="] * rows, rhs, lower=lower)
-    res = solve_lp(lp, tol)
-    if res.status is not LpStatus.OPTIMAL:
-        raise LpError(f"containment LP ended {res.status}")
-    center = res.primal[:d]
-    rho = max(0.0, res.value)
-    lam = np.clip(np.array([-res.dual[i * (d + 1) + d] for i in range(n)]), 0.0, None)
+    rho, center, lam, _ = _vertex_program(P.points, C.vertices, np.zeros(len(P)), tol)
+    rho = max(0.0, rho)
+    lam = np.clip(lam, 0.0, None)
     total = lam.sum()
     if total > 0:
         lam /= total
@@ -229,12 +201,37 @@ def _verify_cover(P: PointSet, C: Container, rho: float, center, tol: Tolerance)
             raise LpError(f"solution does not cover: gauge {worst} > rho {rho}")
 
 
-def _vrep_duals(P: PointSet, C: Container, tol: Tolerance):
-    """Per-point weights lam_i and supporting normals a_i = y_i / lam_i from
-    the vertex-formulation duals."""
-    pts, V = P.points, C.vertices
-    n, d = pts.shape
+def _facet_program(A: np.ndarray, h: np.ndarray, tol: Tolerance):
+    """min t  s.t.  a_k.c + t >= h_k  for every facet k.
+
+    Returns (t, c, lam) with lam_k >= 0 the facet weights (sum one,
+    sum lam_k a_k = 0).  Written as t = max(h) + s with s free, every
+    right-hand side is nonnegative, so the slack basis is feasible and no
+    phase 1 runs; t >= 0 needs no bound when the normals positively span.
+    """
+    m, d = A.shape
+    top = float(h.max())
+    # variables (c, s):  -a_k.c - s <= top - h_k
+    lhs = np.hstack([-A, -np.ones((m, 1))])
+    obj = np.zeros(d + 1)
+    obj[d] = 1.0
+    res = solve_lp(LinearProgram.new(obj, lhs, ["<="] * m, top - h), tol)
+    if res.status is not LpStatus.OPTIMAL:
+        raise LpError(f"containment LP ended {res.status}")
+    return top + res.value, res.primal[:d], -res.dual
+
+
+def _vertex_program(points: np.ndarray, V: np.ndarray, offsets: np.ndarray, tol: Tolerance):
+    """min t  s.t.  sum_j mu_ij v_j + c = p_i,  sum_j mu_ij - t = offsets_i,
+    mu >= 0, t >= 0: p_i lies in c + (offsets_i + t) * conv(V).
+
+    Returns (t, c, lam, Y): per-point weights lam_i and dual vectors Y_i;
+    where lam_i > 0, Y_i / lam_i is a supporting normal (unit offset) of
+    the dilated container at p_i.
+    """
+    n, d = points.shape
     m = V.shape[0]
+    # variables (c, t, mu_11..mu_nm); d + 1 rows per point
     nvar = d + 1 + n * m
     rows = n * (d + 1)
     lhs = np.zeros((rows, nvar))
@@ -243,25 +240,18 @@ def _vrep_duals(P: PointSet, C: Container, tol: Tolerance):
         r0 = i * (d + 1)
         lhs[r0 : r0 + d, :d] = np.eye(d)
         lhs[r0 : r0 + d, d + 1 + i * m : d + 1 + (i + 1) * m] = V.T
-        rhs[r0 : r0 + d] = pts[i]
+        rhs[r0 : r0 + d] = points[i]
         lhs[r0 + d, d + 1 + i * m : d + 1 + (i + 1) * m] = 1.0
         lhs[r0 + d, d] = -1.0
+        rhs[r0 + d] = offsets[i]
     obj = np.zeros(nvar)
     obj[d] = 1.0
     lower = np.concatenate([np.full(d, -np.inf), np.zeros(1 + n * m)])
-    lp = LinearProgram.new(obj, lhs, ["="] * rows, rhs, lower=lower)
-    res = solve_lp(lp, tol)
+    res = solve_lp(LinearProgram.new(obj, lhs, ["="] * rows, rhs, lower=lower), tol)
     if res.status is not LpStatus.OPTIMAL:
         raise LpError(f"containment LP ended {res.status}")
-    rho = max(0.0, res.value)
-    center = res.primal[:d]
-    out = []
-    for i in range(n):
-        y = res.dual[i * (d + 1) : i * (d + 1) + d]
-        lam_i = -res.dual[i * (d + 1) + d]
-        if lam_i > 1e-9:
-            out.append((i, lam_i, y / lam_i))
-    return rho, center, out
+    duals = res.dual.reshape(n, d + 1)
+    return res.value, res.primal[:d], -duals[:, d], duals[:, :d]
 
 
 # -- certificates -------------------------------------------------------------
@@ -340,33 +330,19 @@ def _supporting_pairs(P, C, rho, center, touching, tol) -> list[tuple[int, np.nd
         return pairs
     # vertex-only container: recover coherent normals from the LP duals of
     # a fresh solve, provided the candidate is that optimum
-    opt_rho, _, dual_pairs = _vrep_duals(P, C, tol)
-    if rho > opt_rho + tol.eq * max(1.0, opt_rho):
-        # candidate is suboptimal; gather one polar-support normal per
-        # touching point so the separation step still has generators
+    opt_rho, _, lam, Y = _vertex_program(P.points, C.vertices, np.zeros(len(P)), tol)
+    if rho <= opt_rho + tol.eq * max(1.0, opt_rho):
+        touch_set = set(touching)
+        for i in np.nonzero(lam > 1e-9)[0]:
+            if i in touch_set:
+                pairs.append((int(i), Y[i] / lam[i]))
+    if not pairs:
+        # suboptimal candidate, or dual support disjoint from its touch
+        # set: one polar-support normal per touching point still gives
+        # the separation step its generators
         for i in touching:
-            u = (P.points[i] - center) / rho
-            pairs.append((i, _polar_support(C.vertices, u, tol)))
-        return pairs
-    touch_set = set(touching)
-    for i, _lam, a in dual_pairs:
-        if i in touch_set:
-            pairs.append((i, a))
-    if not pairs:  # dual support disjoint from candidate touch set
-        for i in touching:
-            u = (P.points[i] - center) / rho
-            pairs.append((i, _polar_support(C.vertices, u, tol)))
+            pairs.append((i, _gauge_vpoly(C.vertices, (P.points[i] - center) / rho, tol)[1]))
     return pairs
-
-
-def _polar_support(V: np.ndarray, u: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """A normal a with a.u maximal subject to a.v_j <= 1 for all vertices."""
-    m, d = V.shape
-    lp = LinearProgram.new(u, V, ["<="] * m, np.ones(m), maximize=True)
-    res = solve_lp(lp, tol)
-    if res.status is not LpStatus.OPTIMAL:
-        raise LpError(f"polar support LP ended {res.status}")
-    return res.primal
 
 
 def _verify_certificate(cert: Certificate, C: Container, rho, center, tol: Tolerance) -> None:

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .containment import all_gauges, min_containment, support_points
+from .containment import (
+    _facet_program,
+    _vertex_program,
+    all_gauges,
+    min_containment,
+    support_points,
+)
 from .geometry import (
     DEFAULT_TOL,
     Container,
@@ -23,7 +29,6 @@ from .geometry import (
     PointSet,
     Tolerance,
 )
-from .lp import LinearProgram, LpStatus, solve_lp
 from .radii import core_radius
 
 __all__ = [
@@ -164,9 +169,11 @@ def _find_covering_center(
     """A center c of S (gauge(s - c) <= radius on S) with
     gauge(p - c) <= (1+eps) radius on all of P, or None.
 
-    For containers with normals both conditions are linear in c; vertex
-    form uses the membership multipliers.  The LP minimises the largest
-    violation, so near-ties inside tolerance are accepted.
+    Both conditions become one containment program: the facet program
+    with h_k the larger of the two per-facet maxima, or the vertex
+    program with offsets radius on S and (1+eps) radius on P.  Its value
+    t is the largest violation, so near-ties inside tolerance are
+    accepted.
     """
     allowed = (1.0 + eps) * radius
     slack = tol.feas * max(1.0, allowed)
@@ -175,56 +182,14 @@ def _find_covering_center(
         worst = float(np.max(all_gauges(P, C, center, tol)))
         return center if worst <= allowed + slack else None
     if C.normals is not None:
-        A = C.normals
-        d = P.dim
-        rows, rhs = [], []
-        for i in idx:
-            for a in A:  # a.(p - c) <= radius + t
-                rows.append(np.concatenate([-a, [-1.0]]))
-                rhs.append(radius - a @ P.points[i])
-        for p in P.points:
-            for a in A:
-                rows.append(np.concatenate([-a, [-1.0]]))
-                rhs.append(allowed - a @ p)
-        obj = np.zeros(d + 1)
-        obj[d] = 1.0
-        lp = LinearProgram.new(
-            obj, np.array(rows), ["<="] * len(rows), np.array(rhs),
-            lower=np.concatenate([np.full(d, -np.inf), [-np.inf]]),
-        )
-        res = solve_lp(lp, tol)
-        if res.status is not LpStatus.OPTIMAL or res.value > slack:
-            return None
-        return res.primal[:d]
-    # vertex representation: c is feasible iff every point admits hull
-    # multipliers at the right dilation
-    V = C.vertices
-    m, d = V.shape
-    sel = list(idx) + list(range(len(P)))
-    caps = [radius] * len(idx) + [allowed] * len(P)
-    nvar = d + len(sel) * m
-    rows, rhs, rel = [], [], []
-    for s, (j, cap) in enumerate(zip(sel, caps)):
-        p = P.points[j if s < len(idx) else j]
-        base = d + s * m
-        for coord in range(d):
-            row = np.zeros(nvar)
-            row[coord] = 1.0
-            row[base : base + m] = V[:, coord]
-            rows.append(row)
-            rhs.append(p[coord])
-            rel.append("=")
-        row = np.zeros(nvar)
-        row[base : base + m] = 1.0
-        rows.append(row)
-        rhs.append(cap)
-        rel.append("<=")
-    lower = np.concatenate([np.full(d, -np.inf), np.zeros(len(sel) * m)])
-    lp = LinearProgram.new(np.zeros(nvar), np.array(rows), rel, np.array(rhs), lower=lower)
-    res = solve_lp(lp, tol)
-    if res.status is not LpStatus.OPTIMAL:
-        return None
-    return res.primal[:d]
+        prods = P.points @ C.normals.T
+        h = np.maximum(prods[idx].max(axis=0) - radius, prods.max(axis=0) - allowed)
+        t, center, _ = _facet_program(C.normals, h, tol)
+    else:
+        pts = np.vstack([P.points[idx], P.points])
+        offsets = np.concatenate([np.full(len(idx), radius), np.full(len(P), allowed)])
+        t, center, _, _ = _vertex_program(pts, C.vertices, offsets, tol)
+    return center if t <= slack else None
 
 
 def center_conformity_bound_check(

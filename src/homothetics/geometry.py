@@ -209,14 +209,6 @@ class Container:
 
     # -- queries ----------------------------------------------------------
 
-    @property
-    def has_normals(self) -> bool:
-        return self.normals is not None
-
-    @property
-    def has_vertices(self) -> bool:
-        return self.vertices is not None or self.kind is ContainerKind.BALL
-
     def is_symmetric(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """True when the body equals its reflection -C (checked setwise)."""
         if self.kind is ContainerKind.BALL:
@@ -313,10 +305,12 @@ def gauge(container: Container, x, tol: Tolerance = DEFAULT_TOL) -> float:
         return float(np.linalg.norm(x))
     if container.normals is not None:
         return max(0.0, float(np.max(container.normals @ x)))
-    return _gauge_vpoly(container.vertices, x, tol)
+    return _gauge_vpoly(container.vertices, x, tol)[0]
 
 
-def _gauge_vpoly(vertices: np.ndarray, x: np.ndarray, tol: Tolerance) -> float:
+def _gauge_vpoly(vertices: np.ndarray, x: np.ndarray, tol: Tolerance):
+    """Gauge of x in conv(vertices) and a supporting normal a of the
+    polar (a.v_j <= 1 for every vertex, a.x = gauge) from the LP duals."""
     # min rho  s.t.  sum_j mu_j v_j = x, sum_j mu_j = rho, mu >= 0
     from .lp import LinearProgram, LpError, LpStatus, solve_lp
 
@@ -337,7 +331,7 @@ def _gauge_vpoly(vertices: np.ndarray, x: np.ndarray, tol: Tolerance) -> float:
     res = solve_lp(lp, tol)
     if res.status is not LpStatus.OPTIMAL:
         raise LpError(f"one-point containment LP ended {res.status}")
-    return max(0.0, res.value)
+    return max(0.0, res.value), res.dual[:d]
 
 
 def support(container: Container, direction) -> float:

@@ -114,7 +114,9 @@ def minimum_enclosing_ball(points, tol: Tolerance = DEFAULT_TOL) -> Ball:
 
 def _support_from_defining(pts, center, radius, defining: list[int], tol: Tolerance):
     """Convex weights of the defining set; LP fallback over all boundary
-    points if the affine weights come out negative (numerical edge)."""
+    points if the affine weights come out negative (numerical edge).
+    Raises ``LpError`` when the origin is outside the hull of the boundary
+    directions, i.e. the ball is not optimal for its boundary points."""
     if radius <= 0 or len(defining) <= 1:
         i = defining[0] if defining else 0
         return [i], np.ones(1)
@@ -129,16 +131,14 @@ def _support_from_defining(pts, center, radius, defining: list[int], tol: Tolera
                 w = w[keep] / w[keep].sum()
                 return [i for i, m in zip(order, keep) if m], w
     # fallback: balance the origin over all boundary directions
-    from .lp import in_convex_hull
+    from .lp import LpError, in_convex_hull
 
-    n = pts.shape[0]
     dist = np.linalg.norm(pts - center, axis=1)
     boundary = np.nonzero(dist >= radius - tol.feas * max(1.0, radius))[0].tolist()
     gens = pts[boundary] - center
     hull = in_convex_hull(gens, np.zeros(pts.shape[1]))
     if not hull.contains:
-        k = min(len(boundary), pts.shape[1] + 1)
-        return boundary[:k], np.full(k, 1.0 / k)
+        raise LpError("enclosing ball has no convex support weights: not optimal")
     lam = hull.coefficients
     mask = lam > 1e-12
     lam = lam[mask] / lam[mask].sum()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -122,7 +123,7 @@ def core_radius(
         C.kind is ContainerKind.BALL or (C.normals is not None and C.is_symmetric(tol))
     ):
         return _best_pair(P, C, tol)
-    total = _n_choose(n, size)
+    total = comb(n, size)
     solves = 0
     best_val = -np.inf
     best_sub: tuple[int, ...] | None = None
@@ -161,12 +162,6 @@ def core_radius(
     value = min_containment(P.subset(best_sub), C, tol).rho
     witness = _reduce_witness(P, C, best_sub, value, tol)
     return CoreRadiusResult(k, value, witness)
-
-
-def _n_choose(n: int, r: int) -> int:
-    from math import comb
-
-    return comb(n, r)
 
 
 def _best_pair(P: PointSet, C: Container, tol: Tolerance) -> CoreRadiusResult:

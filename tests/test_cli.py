@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from homothetics.cli import main
+from homothetics.lp import LpError
 
 
 def run_cli(capsys, argv, stdin: str | None = None, monkeypatch=None):
@@ -87,6 +88,23 @@ class TestSolve:
         )
         assert code == 2
         assert "error" in json.loads(err)
+
+
+class TestSolverFailure:
+    def test_lp_error_exit_3(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise LpError("pivot below tolerance with no alternative")
+
+        monkeypatch.setattr("homothetics.cli.min_containment", fail)
+        code, out, err = run_cli(
+            capsys,
+            ["solve", "--container", "ball"],
+            stdin='{"dim": 2, "points": [[0, 0], [1, 0]]}',
+            monkeypatch=monkeypatch,
+        )
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"].startswith("LpError: ")
 
 
 class TestRadiiCoresetAsym:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from homothetics import Container, DimensionMismatch, PointSet, gauge, reflect
+from homothetics import DEFAULT_TOL, Container, DimensionMismatch, PointSet, gauge, reflect
 from homothetics.containment import (
     NotOptimalError,
+    _facet_program,
     Solution,
     halfspace_lemma_check,
     make_certificate,
@@ -120,6 +121,39 @@ class TestInvariances:
             h = min_containment(P, C, method="hrep")
             v = min_containment(P, C, method="vrep")
             assert h.rho == pytest.approx(v.rho, abs=1e-6)
+
+
+class TestFacetProgram:
+    """The m-row facet program against scipy's HiGHS on the same LP."""
+
+    @pytest.mark.parametrize("tag", ["box", "cross", "negT", "cap"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_linprog(self, tag, d):
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        A = np.asarray(corpus_container(tag, d).normals)
+        m = A.shape[0]
+        rng = np.random.default_rng(1000 * d + m)
+        for seed in range(4):
+            P = random_pointset(15, d, seed=900 + 10 * d + seed, distribution="gauss")
+            h = (P.points @ A.T).max(axis=0)
+            if seed % 2:  # covering-center style: arbitrary, possibly negative, h
+                h = h - rng.uniform(0.0, 2.0, size=m)
+            t, c, lam = _facet_program(A, h, DEFAULT_TOL)
+            ref = scipy_opt.linprog(
+                np.r_[np.zeros(d), 1.0],
+                A_ub=np.hstack([-A, -np.ones((m, 1))]),
+                b_ub=-h,
+                bounds=[(None, None)] * (d + 1),
+                method="highs",
+            )
+            assert ref.status == 0
+            assert t == pytest.approx(ref.fun, abs=1e-7)
+            assert np.all(A @ c + t >= h - 1e-7)
+            assert np.all(lam >= -1e-9)
+            assert lam.sum() == pytest.approx(1.0, abs=1e-9)
+            assert np.allclose(lam @ A, 0.0, atol=1e-7)
+            # complementary slackness: weight only on binding facets
+            assert np.all(lam[A @ c + t > h + 1e-6] <= 1e-9)
 
 
 class TestCertificates:

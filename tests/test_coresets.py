@@ -1,9 +1,12 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from homothetics import Container, PointSet, reflect
+from homothetics import DEFAULT_TOL, Container, PointSet, reflect
 from homothetics.containment import min_containment
 from homothetics.coresets import (
+    _find_covering_center,
     center_conformity_bound_check,
     extract_zero_coreset,
     greedy_coreset,
@@ -168,6 +171,20 @@ class TestBoxAmbiguity:
             P, box, pair, 0.9, require_center_conform=True, fixed_center=True
         )
         assert validate_coreset(P, box, pair, 0.0, require_center_conform=True)
+
+    def test_vertex_form_fixed_center_fails_but_search_passes(self):
+        P = box_ambiguity_instance(3, 1.0)
+        corners = np.array(list(product((-1.0, 1.0), repeat=3)))
+        box = Container.from_vertices(corners)
+        pair = [len(P) - 2, len(P) - 1]
+        assert not validate_coreset(
+            P, box, pair, 0.9, require_center_conform=True, fixed_center=True
+        )
+        assert validate_coreset(P, box, pair, 0.0, require_center_conform=True)
+        center = _find_covering_center(P, box, pair, 1.0, 0.0, DEFAULT_TOL)
+        assert np.allclose(center, [1.0, 1.0, 0.0], atol=1e-6)
+        # below R(S) = 1 the pair has no center at all
+        assert _find_covering_center(P, box, pair, 0.9, 0.0, DEFAULT_TOL) is None
 
     def test_tau_zero_instance(self):
         P = box_ambiguity_instance(2, 0.0)

@@ -3,8 +3,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from homothetics.geometry import DEFAULT_TOL
 from homothetics.instances import simplex_vertices
-from homothetics.meb import circumball, minimum_enclosing_ball
+from homothetics.lp import LpError
+from homothetics.meb import _support_from_defining, circumball, minimum_enclosing_ball
 
 
 def brute_force_radius(pts: np.ndarray) -> float:
@@ -99,3 +101,14 @@ class TestMinimumEnclosingBall:
         assert shifted.radius == pytest.approx(b.radius, abs=1e-9)
         scaled = minimum_enclosing_ball(2.5 * pts)
         assert scaled.radius == pytest.approx(2.5 * b.radius, abs=1e-9)
+
+
+class TestSupportWeights:
+    def test_non_optimal_ball_raises(self):
+        # three points on one arc of the unit circle: the unit circle about
+        # the origin passes through all of them but is not their smallest
+        # enclosing ball, so no convex weights balance the directions
+        ang = np.array([0.0, 0.4, 0.8])
+        pts = np.column_stack([np.cos(ang), np.sin(ang)])
+        with pytest.raises(LpError):
+            _support_from_defining(pts, np.zeros(2), 1.0, [0, 1, 2], DEFAULT_TOL)
