@@ -5,13 +5,18 @@ point of P inside c + rho*C.  Each container representation has one
 linear program, built in one place and shared by the solver, the
 certificate and the core-set center search:
 
-- facet program (normals a_k): min t with a_k.c + t >= h_k, one row per
-  facet and d+1 variables.  For containment h_k = max_i a_k.p_i, since
-  only the outermost point per facet can bind; each facet weight goes to
-  the lowest-index point attaining h_k, giving the point weights.
+- facet program (facet normals a_k, ``Container.facets``): min t with
+  a_k.c + t >= h_k, one row per facet and d+1 variables.  For
+  containment h_k = max_i a_k.p_i, since only the outermost point per
+  facet can bind; each facet weight goes to the lowest-index point
+  attaining h_k, giving the point weights.  Every polytope with normals
+  takes it, and so does every vertex-only container within the facet
+  budget (d <= 6, at most 40 vertices and 250 000 d-subsets of them),
+  whose facets are enumerated once from the polar.
 - vertex program (vertices v_j): p_i = c + sum_j mu_ij v_j with
   sum_j mu_ij = t; its duals give a weight and a supporting normal per
-  point.
+  point.  It solves vertex-only containers beyond the facet budget, and
+  ``method="vrep"`` forces it as the cross-check reference.
 
 The Euclidean ball is solved by the exact support-set solver.
 ``make_certificate`` turns a solution into touching points, supporting
@@ -59,7 +64,7 @@ class Solution:
     rho: float
     center: np.ndarray
     active_points: tuple[int, ...]
-    active_normals: tuple[int, ...]
+    active_normals: tuple[int, ...]  # rows of C.facets with positive weight
     duals: np.ndarray  # nonnegative weight per point of P, summing to one
 
     def __post_init__(self) -> None:
@@ -105,16 +110,19 @@ def all_gauges(P: PointSet, C: Container, center, tol: Tolerance) -> np.ndarray:
     diffs = P.points - np.asarray(center, dtype=float)
     if C.kind is ContainerKind.BALL:
         return np.linalg.norm(diffs, axis=1)
-    if C.normals is not None:
-        return np.clip((C.normals @ diffs.T).max(axis=0), 0.0, None)
+    if C.facets is not None:
+        return np.clip((C.facets @ diffs.T).max(axis=0), 0.0, None)
     return np.array([gauge(C, x, tol) for x in diffs])
 
 
 def touching_indices(P: PointSet, C: Container, rho: float, center, tol: Tolerance) -> list[int]:
     """Points whose gauge distance from the center matches rho within
     tol.feas * max(1, rho)."""
+    return _touching(all_gauges(P, C, center, tol), rho, tol)
+
+
+def _touching(gauges: np.ndarray, rho: float, tol: Tolerance) -> list[int]:
     slack = tol.feas * max(1.0, rho)
-    gauges = all_gauges(P, C, center, tol)
     return np.nonzero(gauges >= rho - slack)[0].tolist()
 
 
@@ -126,9 +134,12 @@ def min_containment(
 ) -> Solution:
     """Least rho with P inside some translate of rho*C.
 
-    method: "auto" picks the half-space LP whenever normals exist, the
-    vertex LP for vertex-only containers and the exact ball solver for
-    balls; "hrep"/"vrep" force a formulation (useful for cross-checks).
+    method: "auto" picks the facet program whenever ``C.facets`` exists
+    (given normals, or facets derived from the vertices within the facet
+    budget), the vertex program for vertex-only containers beyond that
+    budget and the exact ball solver for balls; "hrep"/"vrep" force a
+    formulation (useful for cross-checks).  Every solution is checked to
+    cover P before it is returned; ``LpError`` otherwise.
     """
     _check_dims(P, C)
     if len(P) == 1:
@@ -139,17 +150,17 @@ def min_containment(
     if method == "auto":
         if C.kind is ContainerKind.BALL:
             method = "ball"
-        elif C.normals is not None:
+        elif C.facets is not None:
             method = "hrep"
         else:
             method = "vrep"
     if method == "ball":
         if C.kind is not ContainerKind.BALL:
             raise ValueError("ball method needs a ball container")
-        return _solve_ball(P, tol)
+        return _solve_ball(P, C, tol)
     if method == "hrep":
-        if C.normals is None:
-            raise ValueError("hrep method needs container normals")
+        if C.facets is None:
+            raise ValueError("hrep method needs container facets")
         return _solve_hrep(P, C, tol)
     if method == "vrep":
         if C.vertices is None:
@@ -158,47 +169,68 @@ def min_containment(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _solve_ball(P: PointSet, tol: Tolerance) -> Solution:
+def _solve_ball(P: PointSet, C: Container, tol: Tolerance) -> Solution:
     ball = minimum_enclosing_ball(P.points, tol)
     duals = np.zeros(len(P))
     duals[list(ball.support)] = ball.weights
-    active = touching_indices(P, Container.ball(P.dim), ball.radius, ball.center, tol)
+    gauges = all_gauges(P, C, ball.center, tol)
+    _verify_cover(P, C, ball.radius, ball.center, tol, gauges=gauges)
+    active = _touching(gauges, ball.radius, tol)
     return Solution(ball.radius, ball.center, tuple(active), (), duals)
 
 
 def _solve_hrep(P: PointSet, C: Container, tol: Tolerance) -> Solution:
     # only the outermost point per facet can bind: h_k = max_i a_k.p_i
-    prods = P.points @ C.normals.T  # (n, m)
-    rho, center, lam = _facet_program(C.normals, prods.max(axis=0), tol)
+    prods = P.points @ C.facets.T  # (n, m)
+    rho, center, lam = _facet_program(C.facets, prods.max(axis=0), tol)
     rho = max(0.0, rho)
     lam = np.clip(lam, 0.0, None)
     lam /= lam.sum()
     # each facet weight goes to the lowest-index point attaining h_k
     duals = np.bincount(np.argmax(prods, axis=0), weights=lam, minlength=len(P))
     active_normals = np.nonzero(lam > 1e-9)[0].tolist()
-    active = touching_indices(P, C, rho, center, tol)
-    _verify_cover(P, C, rho, center, tol)
+    gauges = all_gauges(P, C, center, tol)
+    _verify_cover(P, C, rho, center, tol, gauges=gauges)
+    active = _touching(gauges, rho, tol)
     return Solution(rho, center, tuple(active), tuple(active_normals), duals)
 
 
 def _solve_vrep(P: PointSet, C: Container, tol: Tolerance) -> Solution:
-    rho, center, lam, _ = _vertex_program(P.points, C.vertices, np.zeros(len(P)), tol)
+    rho, center, lam, _, mu = _vertex_program(P.points, C.vertices, np.zeros(len(P)), tol)
     rho = max(0.0, rho)
+    _verify_cover(P, C, rho, center, tol, mu=mu)
     lam = np.clip(lam, 0.0, None)
     total = lam.sum()
     if total > 0:
         lam /= total
     active = touching_indices(P, C, rho, center, tol)
-    _verify_cover(P, C, rho, center, tol)
     return Solution(rho, center, tuple(active), (), lam)
 
 
-def _verify_cover(P: PointSet, C: Container, rho: float, center, tol: Tolerance) -> None:
+def _verify_cover(
+    P: PointSet, C: Container, rho: float, center, tol: Tolerance, gauges=None, mu=None
+) -> None:
+    """Raise ``LpError`` unless P lies in center + rho*C, up to
+    10 * tol.feas * max(1, rho).
+
+    Judged from the per-point gauges (computed here when not given), or,
+    for a vertex-program solve with multipliers ``mu`` (one row per
+    point), from that program's own primal: p_i = c + sum_j mu_ij v_j
+    with mu >= -tol.feas and sum_j mu_ij <= rho.
+    """
     slack = 10 * tol.feas * max(1.0, rho)
-    if C.normals is not None:
-        worst = float(np.max(C.normals @ (P.points - center).T))
-        if worst > rho + slack:
-            raise LpError(f"solution does not cover: gauge {worst} > rho {rho}")
+    if mu is not None:
+        diffs = P.points - center
+        resid = float(np.max(np.abs(diffs - mu @ C.vertices)))
+        if resid > slack * max(1.0, float(np.max(np.abs(diffs)))) or np.min(mu) < -tol.feas:
+            raise LpError(f"vertex multipliers do not represent P: residual {resid:.3e}")
+        worst = float(np.max(mu.sum(axis=1)))
+    else:
+        if gauges is None:
+            gauges = all_gauges(P, C, center, tol)
+        worst = float(np.max(gauges))
+    if worst > rho + slack:
+        raise LpError(f"solution does not cover: gauge {worst} > rho {rho}")
 
 
 def _facet_program(A: np.ndarray, h: np.ndarray, tol: Tolerance):
@@ -225,9 +257,9 @@ def _vertex_program(points: np.ndarray, V: np.ndarray, offsets: np.ndarray, tol:
     """min t  s.t.  sum_j mu_ij v_j + c = p_i,  sum_j mu_ij - t = offsets_i,
     mu >= 0, t >= 0: p_i lies in c + (offsets_i + t) * conv(V).
 
-    Returns (t, c, lam, Y): per-point weights lam_i and dual vectors Y_i;
-    where lam_i > 0, Y_i / lam_i is a supporting normal (unit offset) of
-    the dilated container at p_i.
+    Returns (t, c, lam, Y, mu): per-point weights lam_i, dual vectors Y_i
+    and the (n, m) multipliers; where lam_i > 0, Y_i / lam_i is a
+    supporting normal (unit offset) of the dilated container at p_i.
     """
     n, d = points.shape
     m = V.shape[0]
@@ -251,7 +283,8 @@ def _vertex_program(points: np.ndarray, V: np.ndarray, offsets: np.ndarray, tol:
     if res.status is not LpStatus.OPTIMAL:
         raise LpError(f"containment LP ended {res.status}")
     duals = res.dual.reshape(n, d + 1)
-    return res.value, res.primal[:d], -duals[:, d], duals[:, :d]
+    mu = res.primal[d + 1 :].reshape(n, m)
+    return res.value, res.primal[:d], -duals[:, d], duals[:, :d], mu
 
 
 # -- certificates -------------------------------------------------------------
@@ -321,16 +354,17 @@ def _supporting_pairs(P, C, rho, center, touching, tol) -> list[tuple[int, np.nd
             u = (P.points[i] - center) / rho
             pairs.append((i, u / max(np.linalg.norm(u), 1e-30)))
         return pairs
-    if C.normals is not None:
-        A = C.normals
+    if C.facets is not None:
+        A = C.facets
         for i in touching:
             prods = A @ (P.points[i] - center)
             for k in np.nonzero(prods >= rho - 10 * slack)[0]:
                 pairs.append((i, A[k].copy()))
         return pairs
-    # vertex-only container: recover coherent normals from the LP duals of
-    # a fresh solve, provided the candidate is that optimum
-    opt_rho, _, lam, Y = _vertex_program(P.points, C.vertices, np.zeros(len(P)), tol)
+    # vertex-only container beyond the facet budget: recover coherent
+    # normals from the LP duals of a fresh solve, provided the candidate is
+    # that optimum
+    opt_rho, _, lam, Y, _ = _vertex_program(P.points, C.vertices, np.zeros(len(P)), tol)
     if rho <= opt_rho + tol.eq * max(1.0, opt_rho):
         touch_set = set(touching)
         for i in np.nonzero(lam > 1e-9)[0]:

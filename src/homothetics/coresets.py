@@ -181,14 +181,14 @@ def _find_covering_center(
         center = min_containment(P.subset(idx), C, tol).center  # unique
         worst = float(np.max(all_gauges(P, C, center, tol)))
         return center if worst <= allowed + slack else None
-    if C.normals is not None:
-        prods = P.points @ C.normals.T
+    if C.facets is not None:
+        prods = P.points @ C.facets.T
         h = np.maximum(prods[idx].max(axis=0) - radius, prods.max(axis=0) - allowed)
-        t, center, _ = _facet_program(C.normals, h, tol)
+        t, center, _ = _facet_program(C.facets, h, tol)
     else:
         pts = np.vstack([P.points[idx], P.points])
         offsets = np.concatenate([np.full(len(idx), radius), np.full(len(P), allowed)])
-        t, center, _, _ = _vertex_program(pts, C.vertices, offsets, tol)
+        t, center, _, _, _ = _vertex_program(pts, C.vertices, offsets, tol)
     return center if t <= slack else None
 
 

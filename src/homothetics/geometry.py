@@ -4,13 +4,16 @@ A container is a full-dimensional compact convex body with the origin in
 its interior.  It carries outer normals (half-space form, every offset
 normalised to one), vertices (hull form), both, or is the Euclidean unit
 ball.  All types are immutable after construction and safe to share
-between threads; every operation here is a pure function.
+between threads (a container's derived facets are computed once, on
+first use); every operation here is a pure function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from math import comb
 
 import numpy as np
 
@@ -127,6 +130,14 @@ class Container:
     BALL carries neither array.  DUAL carries both and they are
     cross-validated at construction.  Half-space data with offsets other
     than one must be rescaled before construction (`from_halfspaces`).
+
+    ``facets`` gives unit-offset facet normals for every polytope that has
+    or can cheaply get them: the given normals, or for a vertex-only
+    container within the facet budget (d <= 6, at most 40 vertex rows and
+    at most 250 000 d-subsets of them) the vertices of the polar
+    {a : a.v <= 1}, enumerated once on first access and cached.  It is
+    None for balls and for vertex-only containers beyond the budget, which
+    are solved through their vertices.
     """
 
     dim: int
@@ -208,6 +219,20 @@ class Container:
         )
 
     # -- queries ----------------------------------------------------------
+
+    @cached_property
+    def facets(self) -> np.ndarray | None:
+        """Unit-offset facet normals, or None (see the class docstring)."""
+        if self.normals is not None:
+            return self.normals
+        if self.vertices is None:
+            return None
+        from .instances import ENUM_MAX_DIM, ENUM_MAX_ROWS, FACETS_MAX_SUBSETS, _polar_vertices
+
+        m, d = self.vertices.shape
+        if d > ENUM_MAX_DIM or m > ENUM_MAX_ROWS or comb(m, d) > FACETS_MAX_SUBSETS:
+            return None
+        return _freeze(_polar_vertices(self.vertices))
 
     def is_symmetric(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """True when the body equals its reflection -C (checked setwise)."""
@@ -294,8 +319,9 @@ def _validate_container(c: Container) -> None:
 def gauge(container: Container, x, tol: Tolerance = DEFAULT_TOL) -> float:
     """Least rho >= 0 with x in rho * container.
 
-    Half-space form: max_k a_k.x clamped below at zero.  Ball: Euclidean
-    norm.  Vertex-only form: a one-point containment LP.
+    Polytope with facets: max_k a_k.x clamped below at zero.  Ball:
+    Euclidean norm.  Vertex-only form beyond the facet budget: a one-point
+    containment LP.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != container.dim:
@@ -303,8 +329,8 @@ def gauge(container: Container, x, tol: Tolerance = DEFAULT_TOL) -> float:
     _check_finite(x, "point")
     if container.kind is ContainerKind.BALL:
         return float(np.linalg.norm(x))
-    if container.normals is not None:
-        return max(0.0, float(np.max(container.normals @ x)))
+    if container.facets is not None:
+        return max(0.0, float(np.max(container.facets @ x)))
     return _gauge_vpoly(container.vertices, x, tol)[0]
 
 

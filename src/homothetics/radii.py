@@ -81,9 +81,9 @@ def _pair_radii(P: PointSet, C: Container, tol: Tolerance) -> np.ndarray:
     if C.kind is ContainerKind.BALL:
         diff = pts[:, None, :] - pts[None, :, :]
         return 0.5 * np.linalg.norm(diff, axis=2)
-    if C.is_symmetric(tol) and C.normals is not None:
+    if C.is_symmetric(tol) and C.facets is not None:
         for i in range(n):
-            dots = C.normals @ (pts[i] - pts[i + 1 :]).T
+            dots = C.facets @ (pts[i] - pts[i + 1 :]).T
             out[i, i + 1 :] = 0.5 * np.clip(dots.max(axis=0), 0.0, None)
         return out + out.T
     for i, j in combinations(range(n), 2):
@@ -120,7 +120,7 @@ def core_radius(
 
     size = k + 1
     if size == 2 and (
-        C.kind is ContainerKind.BALL or (C.normals is not None and C.is_symmetric(tol))
+        C.kind is ContainerKind.BALL or (C.facets is not None and C.is_symmetric(tol))
     ):
         return _best_pair(P, C, tol)
     total = comb(n, size)

@@ -1,22 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homothetics import DEFAULT_TOL, Container, DimensionMismatch, PointSet, gauge, reflect
+from homothetics import containment
 from homothetics.containment import (
     NotOptimalError,
     _facet_program,
+    _vertex_program,
+    _verify_cover,
     Solution,
     halfspace_lemma_check,
     make_certificate,
     min_containment,
     support_points,
 )
+from homothetics.geometry import _same_point_set
 from homothetics.instances import (
     random_pointset,
     regular_simplex,
     simplex_cap_neg,
     standard_container,
 )
+from homothetics.lp import LpError
 
 
 def corpus_container(tag: str, d: int) -> Container:
@@ -30,6 +37,26 @@ def corpus_container(tag: str, d: int) -> Container:
         return simplex_cap_neg(d)
     if tag == "hex-v":  # vertex-only container
         return Container.from_vertices(simplex_cap_neg(d).vertices)
+    raise ValueError(tag)
+
+
+def cube_vertices(d: int) -> np.ndarray:
+    return np.array(np.meshgrid(*([[-1.0, 1.0]] * d), indexing="ij")).reshape(d, -1).T
+
+
+def difference_body(d: int) -> np.ndarray:
+    """Vertices x - y (x != y) of T - T for the regular simplex T."""
+    X = regular_simplex(d)[0].points
+    return np.array([x - y for i, x in enumerate(X) for j, y in enumerate(X) if i != j])
+
+
+def vertex_list(tag: str, d: int) -> np.ndarray:
+    if tag == "box":
+        return cube_vertices(d)
+    if tag == "cap":
+        return np.asarray(simplex_cap_neg(d).vertices)
+    if tag == "T-T":
+        return difference_body(d)
     raise ValueError(tag)
 
 
@@ -113,6 +140,25 @@ class TestInvariances:
             sub = sorted(rng.choice(10, size=k, replace=False).tolist())
             assert min_containment(P.subset(sub), C).rho <= full + 1e-6
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(["box", "cap", "T-T"]),
+        st.integers(2, 4),
+        st.floats(-6.0, 6.0),
+        st.integers(0, 10_000),
+    )
+    def test_facets_and_rho_scale_free(self, tag, d, log_sigma, seed):
+        sigma = 10.0**log_sigma
+        V = vertex_list(tag, d)
+        C, C_s = Container.from_vertices(V), Container.from_vertices(sigma * V)
+        # facets(sigma V) = facets(V) / sigma, setwise
+        assert _same_point_set(sigma * C_s.facets, np.asarray(C.facets), 1e-9)
+        P = random_pointset(12, d, seed=seed, distribution="gauss")
+        base = min_containment(P, C, method="hrep").rho
+        assert min_containment(P.scale(sigma), C_s, method="hrep").rho == pytest.approx(
+            base, abs=1e-6
+        )
+
     def test_hrep_vrep_agree(self):
         for seed in range(10):
             d = 2 + seed % 3
@@ -121,6 +167,85 @@ class TestInvariances:
             h = min_containment(P, C, method="hrep")
             v = min_containment(P, C, method="vrep")
             assert h.rho == pytest.approx(v.rho, abs=1e-6)
+
+
+class TestDerivedFacetSolves:
+    """Vertex-only containers within the facet budget take the facet
+    program; beyond it the vertex program."""
+
+    def test_auto_matches_vrep_on_redundant_vertex_lists(self):
+        rng = np.random.default_rng(61)
+        box3 = cube_vertices(3)
+        octa = np.asarray(simplex_cap_neg(3).vertices)
+        lists = [
+            # duplicated vertices and interior points
+            np.vstack([box3, box3[:3], 0.5 * box3, [[0.0, 0.0, 0.9]]]),
+            # pairwise midpoints of the octahedron T cap -T: edge midpoints
+            # on its boundary, the origin for antipodal pairs
+            np.vstack([octa, 0.5 * (octa[:, None] + octa[None, :]).reshape(-1, 3)[1:8]]),
+        ]
+        for k in (2, 3):  # cylinder-check projections of the 4-cube
+            Q, _ = np.linalg.qr(rng.standard_normal((4, k)))
+            lists.append(cube_vertices(4) @ Q)
+        for t, V in enumerate(lists):
+            C = Container.from_vertices(V)
+            assert C.facets is not None
+            for seed in range(3):
+                P = random_pointset(9, V.shape[1], seed=700 + 10 * t + seed, distribution="gauss")
+                auto = min_containment(P, C)
+                ref = min_containment(P, C, method="vrep")
+                assert auto.rho == pytest.approx(ref.rho, abs=1e-6)
+                assert auto.active_normals  # facet path: rows of C.facets
+
+    def test_six_cube_takes_vertex_program(self):
+        C = Container.from_vertices(cube_vertices(6))
+        assert C.facets is None
+        P = random_pointset(6, 6, seed=83, distribution="gauss")
+        sol = min_containment(P, C)
+        assert sol.active_normals == ()  # vertex program
+        box = standard_container("box", 6)
+        assert sol.rho == pytest.approx(min_containment(P, box).rho, abs=1e-6)
+        cert = make_certificate(P, C, sol)
+        assert np.max(np.abs(cert.lam @ cert.normals)) <= 1e-6
+        for p, a in zip(cert.touch_points, cert.normals):
+            assert a @ (p - sol.center) / sol.rho == pytest.approx(1.0, abs=1e-5)
+
+    def test_box_v_solve_and_certificate_skip_vertex_program(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return _vertex_program(*args, **kwargs)
+
+        monkeypatch.setattr(containment, "_vertex_program", counting)
+        C = Container.from_vertices(cube_vertices(5))
+        P = random_pointset(30, 5, seed=89)
+        make_certificate(P, C, min_containment(P, C))
+        assert calls == []
+        min_containment(P.subset(range(6)), C, method="vrep")  # the patch is live
+        assert calls == [1]
+
+
+class TestCoverCheck:
+    @pytest.mark.parametrize("tag", ["ball", "box-V", "cube6-V"])
+    def test_shrunk_rho_raises(self, tag):
+        d = 6 if tag == "cube6-V" else 3
+        P = random_pointset(8, d, seed=97, distribution="gauss")
+        tol = DEFAULT_TOL
+        mu = None
+        if tag == "ball":
+            C = Container.ball(d)
+        else:
+            C = Container.from_vertices(cube_vertices(d))
+        if tag == "cube6-V":
+            assert C.facets is None
+            rho, center, _, _, mu = _vertex_program(P.points, C.vertices, np.zeros(len(P)), tol)
+        else:
+            sol = min_containment(P, C)
+            rho, center = sol.rho, sol.center
+        _verify_cover(P, C, rho, center, tol, mu=mu)
+        with pytest.raises(LpError):
+            _verify_cover(P, C, rho - 1e-3, center, tol, mu=mu)
 
 
 class TestFacetProgram:

@@ -20,6 +20,7 @@ from homothetics import (
     reflect,
     support,
 )
+from homothetics.geometry import _same_point_set
 from homothetics.instances import regular_simplex, simplex_cap_neg, standard_container
 
 
@@ -192,3 +193,59 @@ class TestJson:
     def test_declared_dim_must_match(self):
         with pytest.raises(DimensionMismatch):
             pointset_from_json({"dim": 3, "points": [[1.0, 2.0]]})
+
+
+class TestDerivedFacets:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_match_given_normals(self, d):
+        from homothetics.instances import symmetric_counterexample
+
+        for C in (
+            standard_container("box", d),
+            standard_container("cross", d),
+            reflect(regular_simplex(d)[1]),
+            simplex_cap_neg(d),
+            symmetric_counterexample(d, min(d, 3)),  # <= 24 vertices
+        ):
+            derived = Container.from_vertices(C.vertices).facets
+            assert _same_point_set(derived, np.asarray(C.normals), 1e-9)
+
+    def test_given_normals_returned_as_is(self):
+        C = simplex_cap_neg(3)
+        assert C.facets is C.normals
+        assert Container.ball(3).facets is None
+
+    def test_beyond_budget_is_none(self):
+        corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * 6), indexing="ij")).reshape(6, -1).T
+        assert Container.from_vertices(corners).facets is None  # 64 vertex rows
+        # 40 rows in d=6, but C(40, 6) = 3 838 380 subsets
+        V = np.random.default_rng(5).standard_normal((40, 6))
+        assert Container.from_vertices(V).facets is None
+        # the 5-cube's C(32, 5) = 201 376 subsets are within the budget
+        assert Container.from_vertices(corners[:32, 1:]).facets.shape == (10, 5)
+
+    def test_json_unchanged(self):
+        C = Container.from_vertices(standard_container("box", 3).vertices)
+        assert C.facets is not None
+        obj = container_to_json(C)
+        assert "normals" not in obj and obj["kind"] == "vpoly"
+
+    def test_threads_read_equal_arrays(self):
+        import threading
+
+        C = Container.from_vertices(standard_container("box", 4).vertices)
+        barrier = threading.Barrier(2)
+        out = [None, None]
+
+        def read(i):
+            barrier.wait(timeout=10)
+            out[i] = C.facets
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert np.array_equal(out[0], out[1])
+        assert _same_point_set(out[0], np.vstack([np.eye(4), -np.eye(4)]), 1e-12)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from homothetics import Container, InvalidContainer, gauge, pointset_to_json, reflect
+from homothetics import DEFAULT_TOL, Container, InvalidContainer, gauge, pointset_to_json, reflect
 from homothetics.instances import (
     InstanceSpec,
     box_ambiguity_instance,
@@ -14,6 +14,7 @@ from homothetics.instances import (
     standard_container,
     symmetric_counterexample,
     vertex_enumeration,
+    _polar_vertices,
 )
 
 
@@ -143,7 +144,51 @@ class TestRandomPointset:
             random_pointset(5, 2, seed=0, distribution="donut")
 
 
+def _loop_polar_vertices(rows: np.ndarray, tol=DEFAULT_TOL) -> np.ndarray:
+    """Reference: one np.linalg.solve per d-subset, kept in subset order
+    and deduplicated pairwise."""
+    from itertools import combinations
+
+    m, d = rows.shape
+    found = []
+    for sub in combinations(range(m), d):
+        try:
+            x = np.linalg.solve(rows[list(sub)], np.ones(d))
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(x)) and np.max(rows @ x) <= 1.0 + tol.feas:
+            found.append(x)
+    out: list[np.ndarray] = []
+    for x in found:
+        if not any(np.max(np.abs(x - v)) <= 10 * tol.eq for v in out):
+            out.append(x)
+    return np.array(out)
+
+
 class TestVertexEnumeration:
+    def test_batched_matches_loop(self):
+        for C in (
+            standard_container("box", 3),
+            standard_container("cross", 4),
+            reflect(regular_simplex(4)[1]),
+            simplex_cap_neg(3),
+            simplex_cap_neg(5),
+            symmetric_counterexample(4, 2),
+        ):
+            for rows in (C.normals, C.vertices):  # H -> vertices, V -> facets
+                got = _polar_vertices(np.asarray(rows))
+                ref = _loop_polar_vertices(np.asarray(rows))
+                assert got.shape == ref.shape
+                assert np.allclose(got, ref, atol=1e-12)
+
+    def test_chunk_boundaries(self, monkeypatch):
+        import homothetics.instances as instances
+
+        rows = standard_container("box", 4).vertices
+        whole = _polar_vertices(rows)
+        monkeypatch.setattr(instances, "_ENUM_CHUNK", 7)
+        assert np.array_equal(_polar_vertices(rows), whole)
+
     def test_box_round_trip(self):
         hrep = Container.from_normals(standard_container("box", 2).normals)
         C = vertex_enumeration(hrep)

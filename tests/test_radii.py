@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from homothetics import Container, InvalidContainer, PointSet, reflect
+from homothetics import DEFAULT_TOL, Container, InvalidContainer, PointSet, reflect
+from homothetics import radii
 from homothetics.containment import min_containment
 from homothetics.instances import (
     random_pointset,
@@ -104,6 +105,33 @@ class TestCoreRadius:
                             assert ratio <= np.sqrt(k * (l + 1) / (l * (k + 1))) + 1e-6
                         if tag == "box":
                             assert ratio <= min(2 * k / (k + 1), k / l) + 1e-6
+
+
+class TestPairRadii:
+    def test_box_v_matches_box_h(self):
+        box = standard_container("box", 3)
+        P = random_pointset(12, 3, seed=131)
+        via_v = core_radius(P, Container.from_vertices(box.vertices), 1)
+        via_h = core_radius(P, Container.from_normals(box.normals), 1)
+        assert via_v.value == pytest.approx(via_h.value, abs=1e-12)
+        assert via_v.witness == via_h.witness
+
+    def test_symmetric_v_form_pair_matrix_is_vectorised(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return min_containment(*args, **kwargs)
+
+        monkeypatch.setattr(radii, "min_containment", counting)
+        box = standard_container("box", 3)
+        P = random_pointset(12, 3, seed=137)
+        pair = radii._pair_radii(P, Container.from_vertices(box.vertices), DEFAULT_TOL)
+        assert calls == []
+        assert np.allclose(pair, radii._pair_radii(P, box, DEFAULT_TOL), atol=1e-12)
+        # a non-symmetric container still solves each pair: the patch is live
+        radii._pair_radii(P.subset(range(3)), reflect(regular_simplex(3)[1]), DEFAULT_TOL)
+        assert len(calls) == 3
 
 
 class TestAsymmetry:
