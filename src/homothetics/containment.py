@@ -27,7 +27,7 @@ improving direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,13 +117,38 @@ def all_gauges(P: PointSet, C: Container, center, tol: Tolerance) -> np.ndarray:
 
 def touching_indices(P: PointSet, C: Container, rho: float, center, tol: Tolerance) -> list[int]:
     """Points whose gauge distance from the center matches rho within
-    tol.feas * max(1, rho)."""
-    return _touching(all_gauges(P, C, center, tol), rho, tol)
+    the gauge slack of ``_slack``."""
+    return _touching(all_gauges(P, C, center, tol), rho, _slack(rho, center, tol))
 
 
-def _touching(gauges: np.ndarray, rho: float, tol: Tolerance) -> list[int]:
-    slack = tol.feas * max(1.0, rho)
+def _touching(gauges: np.ndarray, rho: float, slack: float) -> list[int]:
     return np.nonzero(gauges >= rho - slack)[0].tolist()
+
+
+# round-off of a gauge about a center, relative to its largest coordinate
+_ULPS = 64 * np.finfo(float).eps
+
+
+def _roundoff(center) -> float:
+    """Round-off of a gauge about this center; a radius at or below it is
+    zero (the single-point case)."""
+    return _ULPS * max(map(abs, np.ravel(center).tolist()))
+
+
+def _slack(rho: float, center, tol: Tolerance) -> float:
+    """Slack on gauges: tol.feas relative to rho, so that it scales with
+    the data, and never below the round-off of the center's coordinates."""
+    return max(tol.feas * rho, _roundoff(center))
+
+
+def _at_precision(tol: Tolerance, rho: float, center) -> Tolerance:
+    """tol for testing the supporting normals at (rho, center): a unit
+    normal (p - c)/rho carries the center's round-off relative to rho, so
+    feas (and eq) rise to that level when it exceeds them."""
+    noise = _roundoff(center) / rho
+    if noise <= tol.feas:
+        return tol
+    return replace(tol, feas=noise, eq=max(tol.eq, noise))
 
 
 # -- solvers ------------------------------------------------------------------
@@ -175,7 +200,7 @@ def _solve_ball(P: PointSet, C: Container, tol: Tolerance) -> Solution:
     duals[list(ball.support)] = ball.weights
     gauges = all_gauges(P, C, ball.center, tol)
     _verify_cover(P, C, ball.radius, ball.center, tol, gauges=gauges)
-    active = _touching(gauges, ball.radius, tol)
+    active = _touching(gauges, ball.radius, _slack(ball.radius, ball.center, tol))
     return Solution(ball.radius, ball.center, tuple(active), (), duals)
 
 
@@ -191,7 +216,7 @@ def _solve_hrep(P: PointSet, C: Container, tol: Tolerance) -> Solution:
     active_normals = np.nonzero(lam > 1e-9)[0].tolist()
     gauges = all_gauges(P, C, center, tol)
     _verify_cover(P, C, rho, center, tol, gauges=gauges)
-    active = _touching(gauges, rho, tol)
+    active = _touching(gauges, rho, _slack(rho, center, tol))
     return Solution(rho, center, tuple(active), tuple(active_normals), duals)
 
 
@@ -210,15 +235,15 @@ def _solve_vrep(P: PointSet, C: Container, tol: Tolerance) -> Solution:
 def _verify_cover(
     P: PointSet, C: Container, rho: float, center, tol: Tolerance, gauges=None, mu=None
 ) -> None:
-    """Raise ``LpError`` unless P lies in center + rho*C, up to
-    10 * tol.feas * max(1, rho).
+    """Raise ``LpError`` unless P lies in center + rho*C, up to ten times
+    the gauge slack of ``_slack``.
 
     Judged from the per-point gauges (computed here when not given), or,
     for a vertex-program solve with multipliers ``mu`` (one row per
     point), from that program's own primal: p_i = c + sum_j mu_ij v_j
     with mu >= -tol.feas and sum_j mu_ij <= rho.
     """
-    slack = 10 * tol.feas * max(1.0, rho)
+    slack = 10 * _slack(rho, center, tol)
     if mu is not None:
         diffs = P.points - center
         resid = float(np.max(np.abs(diffs - mu @ C.vertices)))
@@ -296,87 +321,133 @@ def make_certificate(
     """Certify optimality of (rho, center) or raise ``NotOptimalError``.
 
     Touching points and their supporting normals are collected per
-    container kind (active half-spaces; scaled point directions for the
-    ball; vertex-formulation duals), then convex weights placing the
-    origin in the normals' hull are found and pruned to at most d+1
-    entries.
+    container kind (active half-spaces; unit point directions for the
+    ball; vertex-formulation duals).  Convex weights placing the origin in
+    the normals' hull are then found by column generation: the hull test
+    starts from the normals of the solution's own dual support and, while
+    it fails, takes in the touching normal that most violates its
+    separator.  "separated" is raised only when that separator holds for
+    every touching normal.  The weights are merged per point, at most d+1
+    of them.  Slacks are relative to rho (``_slack``), so the test is
+    free of the data's scale; when rho is so small next to the center's
+    coordinates that their round-off exceeds tol.feas * rho, the test runs
+    at that coarser precision (``_at_precision``).
     """
     _check_dims(P, C)
     rho, center = float(sol.rho), np.asarray(sol.center, dtype=float)
-    if rho <= tol.eq:
+    if rho <= _roundoff(center):
         raise ValueError("certificate undefined at zero radius (single-point case)")
+    tol = _at_precision(tol, rho, center)
     d = P.dim
-    slack = tol.feas * max(1.0, rho)
+    slack = 10 * _slack(rho, center, tol)
 
     gauges = all_gauges(P, C, center, tol)
     worst = int(np.argmax(gauges))
-    if gauges[worst] > rho + 10 * slack:
+    if gauges[worst] > rho + slack:
         hint = -(P.points[worst] - center)
         hint = hint / max(np.linalg.norm(hint), 1e-30)
         raise NotOptimalError(
             "infeasible", hint, f"point {worst} at gauge {gauges[worst]:.9g} > rho {rho:.9g}"
         )
-    touching = [i for i in range(len(P)) if gauges[i] >= rho - 10 * slack]
-    if not touching:
+    touching = np.flatnonzero(gauges >= rho - slack)
+    if touching.size == 0:
         raise NotOptimalError("slack", np.zeros(d), f"max gauge {gauges[worst]:.9g} < rho {rho:.9g}")
 
-    pairs = _supporting_pairs(P, C, rho, center, touching, tol)
-    normals = np.array([a for (_, a) in pairs])
-    hull = in_convex_hull(normals, np.zeros(d), tol)
+    idx, normals, seed = _supporting_pairs(P, C, sol, touching, slack, tol)
+    work, hull = _balance(normals, seed, tol)
     if not hull.contains:
         raise NotOptimalError("separated", hull.separator, "origin outside touching normals")
-    # one normal per touching point: when a point rests on several facets
-    # (a vertex of the dilated container), the balanced weights combine
-    # them into a single supporting normal from its normal cone
-    weight: dict[int, float] = {}
-    vec: dict[int, np.ndarray] = {}
-    for (i, a), w in zip(pairs, hull.coefficients):
-        if w <= 1e-12:
-            continue
-        weight[i] = weight.get(i, 0.0) + w
-        vec[i] = vec.get(i, np.zeros(d)) + w * a
-    idx = tuple(sorted(weight))
-    lam = np.array([weight[i] for i in idx])
-    lam /= lam.sum()
-    normals = np.array([vec[i] / weight[i] for i in idx])
-    if len(idx) < 2:
+    keep = hull.coefficients > 1e-12
+    points, lam, point_normals = _merge_per_point(
+        idx[work][keep], normals[work][keep], hull.coefficients[keep]
+    )
+    if len(points) < 2:
         raise LpError("certificate degenerated to a single normal")
-    cert = Certificate(P.points[list(idx)], idx, normals, lam)
+    cert = Certificate(P.points[points], tuple(int(i) for i in points), point_normals, lam)
     _verify_certificate(cert, C, rho, center, tol)
     return cert
 
 
-def _supporting_pairs(P, C, rho, center, touching, tol) -> list[tuple[int, np.ndarray]]:
-    slack = tol.feas * max(1.0, rho)
-    pairs: list[tuple[int, np.ndarray]] = []
+def _merge_per_point(idx: np.ndarray, normals: np.ndarray, w: np.ndarray):
+    """One normal per point from weighted (point, normal) pairs.
+
+    When a point rests on several facets (a vertex of the dilated
+    container), its weights combine them into a single supporting normal
+    from its normal cone.  Returns the distinct points in ascending order,
+    their summed weights scaled to sum one, and their weight-averaged
+    normals.
+    """
+    points = np.array(sorted(set(idx.tolist())))  # the working set is small
+    M = (idx == points[:, None]) * w  # weight of each pair under its point
+    weight = M.sum(axis=1)
+    return points, weight / weight.sum(), (M @ normals) / weight[:, None]
+
+
+# a separator y counts for a normal a when a.y <= -1 + _SEPARATION_SLACK
+_SEPARATION_SLACK = 1e-9
+
+
+def _balance(normals: np.ndarray, seed: np.ndarray, tol: Tolerance):
+    """Working-set test of 0 in conv(normals), by column generation.
+
+    The working set starts at the rows where ``seed`` is true (row 0 when
+    none is) and grows by the row a most violating the separator y of the
+    failed hull test (largest a.y), until the test holds or y separates
+    every row.  Returns (working rows, ``HullResult`` on those rows).
+    """
+    work = np.flatnonzero(seed)
+    if work.size == 0:
+        work = np.zeros(1, dtype=int)
+    origin = np.zeros(normals.shape[1])
+    while True:
+        hull = in_convex_hull(normals[work], origin, tol)
+        if hull.contains:
+            return work, hull
+        reach = normals @ hull.separator
+        reach[work] = -np.inf
+        j = int(np.argmax(reach))
+        if reach[j] <= -1.0 + _SEPARATION_SLACK:
+            return work, hull
+        work = np.append(work, j)
+
+
+def _supporting_pairs(P, C, sol, touching, slack, tol):
+    """(point index, supporting normal) pairs of the touching points, as
+    an index array, an (k, d) normal array and a mask of the pairs in the
+    solution's dual support (positive point weight, and an active facet
+    where the solution names them).  A facet supports a touching point
+    when its gauge there is within ``slack`` of rho, the slack that found
+    the touching points."""
+    rho, center = sol.rho, sol.center
     if C.kind is ContainerKind.BALL:
-        for i in touching:
-            u = (P.points[i] - center) / rho
-            pairs.append((i, u / max(np.linalg.norm(u), 1e-30)))
-        return pairs
+        U = P.points[touching] - center
+        normals = U / np.linalg.norm(U, axis=1)[:, None]
+        return touching, normals, sol.duals[touching] > 0
     if C.facets is not None:
         A = C.facets
-        for i in touching:
-            prods = A @ (P.points[i] - center)
-            for k in np.nonzero(prods >= rho - 10 * slack)[0]:
-                pairs.append((i, A[k].copy()))
-        return pairs
+        rows, ks = np.nonzero((P.points[touching] - center) @ A.T >= rho - slack)
+        idx = touching[rows]
+        seed = sol.duals[idx] > 0
+        if sol.active_normals:
+            active = np.zeros(len(A), dtype=bool)
+            active[list(sol.active_normals)] = True
+            seed &= active[ks]
+        return idx, A[ks], seed
     # vertex-only container beyond the facet budget: recover coherent
     # normals from the LP duals of a fresh solve, provided the candidate is
     # that optimum
     opt_rho, _, lam, Y, _ = _vertex_program(P.points, C.vertices, np.zeros(len(P)), tol)
-    if rho <= opt_rho + tol.eq * max(1.0, opt_rho):
-        touch_set = set(touching)
-        for i in np.nonzero(lam > 1e-9)[0]:
-            if i in touch_set:
-                pairs.append((int(i), Y[i] / lam[i]))
-    if not pairs:
-        # suboptimal candidate, or dual support disjoint from its touch
-        # set: one polar-support normal per touching point still gives
-        # the separation step its generators
-        for i in touching:
-            pairs.append((i, _gauge_vpoly(C.vertices, (P.points[i] - center) / rho, tol)[1]))
-    return pairs
+    if rho <= opt_rho * (1.0 + tol.eq):
+        idx = touching[lam[touching] > 1e-9]
+        if idx.size:
+            return idx, Y[idx] / lam[idx, None], np.ones(idx.size, dtype=bool)
+    # suboptimal candidate, or dual support disjoint from its touch set:
+    # one polar-support normal per touching point still gives the
+    # separation step its generators
+    normals = np.array(
+        [_gauge_vpoly(C.vertices, (P.points[i] - center) / rho, tol)[1] for i in touching]
+    )
+    return touching, normals, sol.duals[touching] > 0
 
 
 def _verify_certificate(cert: Certificate, C: Container, rho, center, tol: Tolerance) -> None:
@@ -385,13 +456,11 @@ def _verify_certificate(cert: Certificate, C: Container, rho, center, tol: Toler
         raise LpError(f"certificate normals do not balance: residual {resid:.3e}")
     if abs(cert.lam.sum() - 1.0) > tol.feas or np.any(cert.lam < -tol.feas):
         raise LpError("certificate weights are not convex coefficients")
-    for p, a in zip(cert.touch_points, cert.normals):
-        u = (p - center) / rho
-        if abs(float(a @ u) - 1.0) > 1e3 * tol.feas:
-            raise LpError("certificate normal does not support at its touching point")
-        if C.vertices is not None:
-            if float(np.max(C.vertices @ a)) > 1.0 + 1e3 * tol.feas:
-                raise LpError("certificate normal cuts into the container")
+    U = (cert.touch_points - center) / rho
+    if np.max(np.abs(np.einsum("ij,ij->i", cert.normals, U) - 1.0)) > 1e3 * tol.feas:
+        raise LpError("certificate normal does not support at its touching point")
+    if C.vertices is not None and np.max(C.vertices @ cert.normals.T) > 1.0 + 1e3 * tol.feas:
+        raise LpError("certificate normal cuts into the container")
 
 
 def support_points(
@@ -403,7 +472,7 @@ def support_points(
     optimality certificate, hence the full radius).  Degenerate dual
     bases are repaired by dropping redundant candidates one at a time.
     """
-    if sol.rho <= tol.eq:
+    if sol.rho <= _roundoff(sol.center):
         return (0,)
     try:
         cert = make_certificate(P, C, sol, tol)
@@ -413,7 +482,7 @@ def support_points(
         if not cand:
             cand = list(sol.active_points)
     sub = min_containment(P.subset(cand), C, tol)
-    if sub.rho >= sol.rho - tol.eq * max(1.0, sol.rho) and len(cand) <= P.dim + 1:
+    if sub.rho >= sol.rho * (1.0 - tol.eq) and len(cand) <= P.dim + 1:
         return tuple(cand)
     # repair: greedily drop members whose removal keeps the radius
     cand = sorted(set(cand) | set(sol.active_points))
@@ -422,25 +491,28 @@ def support_points(
         changed = False
         for i in range(len(cand)):
             trial = cand[:i] + cand[i + 1 :]
-            if min_containment(P.subset(trial), C, tol).rho >= sol.rho - tol.eq * max(1.0, sol.rho):
+            if min_containment(P.subset(trial), C, tol).rho >= sol.rho * (1.0 - tol.eq):
                 cand = trial
                 changed = True
                 break
-    if min_containment(P.subset(cand), C, tol).rho < sol.rho - tol.eq * max(1.0, sol.rho):
+    if min_containment(P.subset(cand), C, tol).rho < sol.rho * (1.0 - tol.eq):
         raise LpError("support extraction failed to reproduce the radius")
     return tuple(cand)
 
 
 def halfspace_lemma_check(P: PointSet, sol: Solution, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Euclidean optimality: the origin lies in the hull of the scaled
-    touching directions (p_i - c)/rho.  Equivalent to: every half-space
-    with the center on its boundary contains a touching point."""
-    rho, center = float(sol.rho), np.asarray(sol.center, dtype=float)
-    if rho <= tol.eq:
+    """Euclidean optimality: the origin lies in the hull of the touching
+    directions (p_i - c)/|p_i - c|, by the working-set hull test of
+    ``make_certificate``.  Equivalent to: every half-space with the center
+    on its boundary contains a touching point."""
+    rho, center = sol.rho, sol.center
+    if rho <= _roundoff(center):
         return True
+    tol = _at_precision(tol, rho, center)
     ball = Container.ball(P.dim)
-    touching = touching_indices(P, ball, rho, center, tol)
-    if not touching:
+    slack = _slack(rho, center, tol)
+    touching = np.flatnonzero(all_gauges(P, ball, center, tol) >= rho - slack)
+    if touching.size == 0:
         return False
-    dirs = (P.points[touching] - center) / rho
-    return in_convex_hull(dirs, np.zeros(P.dim), tol).contains
+    _, normals, seed = _supporting_pairs(P, ball, sol, touching, slack, tol)
+    return _balance(normals, seed, tol)[1].contains

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homothetics import DEFAULT_TOL, Container, DimensionMismatch, PointSet, gauge, reflect
 from homothetics import containment
 from homothetics.containment import (
     NotOptimalError,
+    _merge_per_point,
+    _slack,
+    _supporting_pairs,
     _facet_program,
     _vertex_program,
     _verify_cover,
@@ -376,3 +379,149 @@ class TestHalfspaceLemma:
         sol = min_containment(P, Container.ball(3))
         assert halfspace_lemma_check(P, sol)
         assert len(sol.active_points) == 4
+
+
+class TestBallPath:
+    """The enclosing-ball solve and its certificate, free of the data's
+    scale, with a working-set hull test."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.integers(2, 40),
+        st.floats(-6.0, 6.0),
+        st.floats(-3.0, 10.0),
+        st.integers(0, 10_000),
+    )
+    @example(3, 20, -6.0, 1.0, 0)
+    @example(5, 40, -6.0, 1.0, 1)
+    @example(2, 2, -6.0, 1.0, 2)
+    @example(6, 30, 6.0, 1.0, 3)
+    @example(2, 2, -3.0, 10.0, 0)
+    @example(6, 40, 0.0, 9.0, 1)
+    def test_scale_and_translation_free(self, d, n, log_sigma, log_shift, seed):
+        # |t| = 10**log_shift * sigma.  Each coordinate of sigma P + t
+        # carries round-off of about eps * |t|, far below 1e-9 sigma R for
+        # |t| <= 10 sigma.  Up to |t| = 1e10 sigma the radius is tiny next
+        # to the coordinates but far above their round-off: it is no zero
+        # radius, and it still certifies.
+        sigma = 10.0**log_sigma
+        rng = np.random.default_rng(seed)
+        P = PointSet(rng.standard_normal((n, d)))
+        shift = rng.standard_normal(d)
+        t = 10.0**log_shift * sigma * shift / np.linalg.norm(shift)
+        C = Container.ball(d)
+        base = min_containment(P, C).rho
+        Q = PointSet(sigma * P.points + t)
+        sol = min_containment(Q, C)
+        roundoff = 64 * np.finfo(float).eps * float(np.max(np.abs(t)))
+        assert abs(sol.rho - sigma * base) <= 1e-9 * sigma * base + roundoff
+        cert = make_certificate(Q, C, sol)
+        assert 2 <= len(cert.point_indices) <= d + 1
+        assert halfspace_lemma_check(Q, sol)
+        S = support_points(Q, C, sol)
+        assert 2 <= len(S) <= d + 1
+        assert min_containment(Q.subset(S), C).rho >= sol.rho * (1.0 - 1e-6)
+
+    def test_far_translation_rejects_a_displaced_center(self):
+        # 1e10 radii from the origin the normals carry ~1e-4 relative
+        # round-off; a center displaced by a tenth of the radius is still
+        # caught
+        rng = np.random.default_rng(5)
+        P = PointSet(1e-3 * rng.standard_normal((30, 3)) + 1e7)
+        C = Container.ball(3)
+        sol = min_containment(P, C)
+        make_certificate(P, C, sol)
+        c = sol.center + 0.1 * sol.rho
+        rho = float(np.max(np.linalg.norm(P.points - c, axis=1)))
+        off = Solution(rho, c, (), (), sol.duals)
+        with pytest.raises(NotOptimalError) as err:
+            make_certificate(P, C, off)
+        assert err.value.reason == "separated"
+        assert not halfspace_lemma_check(P, off)
+
+    def test_hull_test_sees_few_generators_on_a_sphere(self, monkeypatch):
+        d = 5
+        P = random_pointset(10_000, d, seed=3, distribution="sphere")
+        C = Container.ball(d)
+        sizes = []
+        real = containment.in_convex_hull
+
+        def counting(generators, target, tol=DEFAULT_TOL):
+            sizes.append(len(generators))
+            return real(generators, target, tol)
+
+        monkeypatch.setattr(containment, "in_convex_hull", counting)
+        sol = min_containment(P, C)
+        assert len(sol.active_points) > 2 * (d + 1)
+        make_certificate(P, C, sol)
+        assert halfspace_lemma_check(P, sol)
+        assert sizes and max(sizes) <= 2 * (d + 1)
+
+    def test_separator_holds_for_every_touching_normal(self):
+        # 400 points on a 3-d spherical cap about c: all touch the sphere
+        # of radius one about c, but their directions lie in an open
+        # half-space, so the center is not optimal
+        rng = np.random.default_rng(8)
+        center = np.array([0.3, -1.2, 2.0])
+        dirs = rng.standard_normal((400, 3)) * [0.4, 0.4, 1.0]
+        dirs[:, 2] = np.abs(dirs[:, 2]) + 0.2
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        P = PointSet(center + dirs)
+        with pytest.raises(NotOptimalError) as err:
+            make_certificate(P, Container.ball(3), Solution(1.0, center, (), (), np.zeros(400)))
+        assert err.value.reason == "separated"
+        y = err.value.direction
+        assert np.max(dirs @ y) <= -1.0 + 1e-9
+        worst = np.max(np.linalg.norm(P.points - (center - 1e-4 * y), axis=1))
+        assert worst < 1.0
+
+
+class TestCertificateArrays:
+    """The array-built touching pairs and per-point merge against the
+    per-point loops they replace."""
+
+    def test_merge_matches_loop(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            k, d = int(rng.integers(1, 12)), int(rng.integers(2, 6))
+            idx = rng.integers(0, 5, size=k)
+            normals = rng.standard_normal((k, d))
+            w = rng.random(k) + 1e-3
+            weight: dict[int, float] = {}
+            vec: dict[int, np.ndarray] = {}
+            for i, a, wi in zip(idx.tolist(), normals, w):
+                weight[i] = weight.get(i, 0.0) + wi
+                vec[i] = vec.get(i, np.zeros(d)) + wi * a
+            ref_idx = sorted(weight)
+            ref_lam = np.array([weight[i] for i in ref_idx])
+            ref_normals = np.array([vec[i] / weight[i] for i in ref_idx])
+            points, lam, merged = _merge_per_point(idx, normals, w)
+            assert points.tolist() == ref_idx
+            assert np.allclose(lam, ref_lam / ref_lam.sum(), rtol=1e-12, atol=1e-15)
+            assert np.allclose(merged, ref_normals, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("tag", ["ball", "box", "cross", "negT", "cap"])
+    def test_pairs_match_loop(self, tag):
+        for seed in range(4):
+            d = 2 + seed % 3
+            P = random_pointset(30, d, seed=300 + seed)
+            C = corpus_container(tag, d)
+            sol = min_containment(P, C)
+            rho, center = sol.rho, sol.center
+            slack = 10 * _slack(rho, center, DEFAULT_TOL)
+            touching = np.array(sol.active_points)
+            ref = []
+            for i in touching.tolist():
+                u = P.points[i] - center
+                if tag == "ball":
+                    ref.append((i, u / np.linalg.norm(u)))
+                    continue
+                for k in np.nonzero(C.facets @ u >= rho - slack)[0]:
+                    ref.append((i, C.facets[k]))
+            idx, normals, seed_mask = _supporting_pairs(P, C, sol, touching, slack, DEFAULT_TOL)
+            assert idx.tolist() == [i for i, _ in ref]
+            assert np.allclose(normals, [a for _, a in ref], rtol=1e-12, atol=1e-15)
+            # the seed lies in the solution's own dual support
+            assert seed_mask.any()
+            assert set(idx[seed_mask].tolist()) <= set(np.flatnonzero(sol.duals > 0).tolist())

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from homothetics.geometry import DEFAULT_TOL
 from homothetics.instances import simplex_vertices
 from homothetics.lp import LpError
-from homothetics.meb import _support_from_defining, circumball, minimum_enclosing_ball
+from homothetics.meb import _convex_weights, circumball, minimum_enclosing_ball
 
 
 def brute_force_radius(pts: np.ndarray) -> float:
@@ -111,4 +111,79 @@ class TestSupportWeights:
         ang = np.array([0.0, 0.4, 0.8])
         pts = np.column_stack([np.cos(ang), np.sin(ang)])
         with pytest.raises(LpError):
-            _support_from_defining(pts, np.zeros(2), 1.0, [0, 1, 2], DEFAULT_TOL)
+            _convex_weights(pts, np.zeros(2), circumball(pts)[2], DEFAULT_TOL)
+
+
+def _cube(d: int) -> np.ndarray:
+    return np.array(list(product((-1.0, 1.0), repeat=d)))
+
+
+def _circle(angles: np.ndarray, dim: int = 2) -> np.ndarray:
+    pts = np.zeros((len(angles), dim))
+    pts[:, 0], pts[:, 1] = np.cos(angles), np.sin(angles)
+    return pts
+
+
+class TestDegenerateInputs:
+    """Inputs that put many points on one sphere, repeat points or lie in
+    a lower-dimensional flat, checked against subset brute force."""
+
+    @pytest.mark.parametrize(
+        "name, pts",
+        [
+            ("cube2", _cube(2)),
+            ("cube3", _cube(3)),
+            ("cube4", _cube(4)),
+            ("cross4", np.vstack([np.eye(4), -np.eye(4)])),
+            ("octagon", _circle(np.arange(8) * np.pi / 4)),
+            ("circle-in-3d", _circle(np.arange(9) * 0.7, dim=3)),
+        ],
+    )
+    def test_co_spherical(self, name, pts):
+        b = minimum_enclosing_ball(pts)
+        assert b.radius == pytest.approx(brute_force_radius(pts), abs=1e-9)
+        assert np.allclose(b.weights @ pts[list(b.support)], b.center, atol=1e-9)
+
+    def test_duplicates(self):
+        rng = np.random.default_rng(11)
+        for d in (2, 3, 4):
+            base = rng.standard_normal((5, d))
+            pts = np.vstack([base, base[::-1], base[:2]])
+            b = minimum_enclosing_ball(pts)
+            assert b.radius == pytest.approx(brute_force_radius(base), abs=1e-9)
+            assert len(b.support) == len(set(map(tuple, pts[list(b.support)])))
+
+    def test_collinear(self):
+        rng = np.random.default_rng(12)
+        for d in (2, 3, 5):
+            direction = rng.standard_normal(d)
+            pts = rng.standard_normal(d) + np.outer(rng.uniform(-3.0, 3.0, 9), direction)
+            b = minimum_enclosing_ball(pts)
+            assert b.radius == pytest.approx(brute_force_radius(pts), abs=1e-9)
+            assert len(b.support) == 2
+
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_simplex_plus_midpoint(self, d):
+        X = simplex_vertices(d)
+        pts = np.vstack([X, 0.5 * (X[0] + X[1]), X.mean(axis=0)])
+        b = minimum_enclosing_ball(pts)
+        assert b.radius == pytest.approx(brute_force_radius(pts), abs=1e-9)
+        assert b.support == tuple(range(d + 1))
+
+    def test_all_points_equal(self):
+        b = minimum_enclosing_ball(np.full((4, 3), 2.5))
+        assert b.radius == 0.0 and np.allclose(b.center, 2.5)
+
+
+class TestCounters:
+    def test_identical_across_invocations(self):
+        rng = np.random.default_rng(13)
+        pts = rng.standard_normal((2000, 5))
+        first = minimum_enclosing_ball(pts)
+        again = minimum_enclosing_ball(pts.copy())
+        assert (first.rounds, first.pivots) == (again.rounds, again.pivots)
+        assert 1 <= first.rounds <= first.pivots
+
+    def test_single_point_takes_no_round(self):
+        b = minimum_enclosing_ball(np.array([[1.0, 2.0]]))
+        assert (b.rounds, b.pivots) == (0, 0)
