@@ -107,6 +107,7 @@ def _check_dims(P: PointSet, C: Container) -> None:
 def all_gauges(P: PointSet, C: Container, center, tol: Tolerance) -> np.ndarray:
     """Gauge of every point relative to the center, vectorised where the
     container representation allows it."""
+    _check_dims(P, C)
     diffs = P.points - np.asarray(center, dtype=float)
     if C.kind is ContainerKind.BALL:
         return np.linalg.norm(diffs, axis=1)
@@ -159,12 +160,12 @@ def min_containment(
 ) -> Solution:
     """Least rho with P inside some translate of rho*C.
 
-    method: "auto" picks the facet program whenever ``C.facets`` exists
-    (given normals, or facets derived from the vertices within the facet
-    budget), the vertex program for vertex-only containers beyond that
-    budget and the exact ball solver for balls; "hrep"/"vrep" force a
-    formulation (useful for cross-checks).  Every solution is checked to
-    cover P before it is returned; ``LpError`` otherwise.
+    method: "auto" takes the exact ball solver for balls, the facet
+    program whenever ``C.facets`` exists (given normals, or facets derived
+    from the vertices within the facet budget) and the vertex program for
+    vertex-only containers beyond that budget; "hrep"/"vrep" force a
+    polytope formulation (useful for cross-checks).  Every solution is
+    checked to cover P before it is returned; ``LpError`` otherwise.
     """
     _check_dims(P, C)
     if len(P) == 1:
@@ -174,15 +175,8 @@ def min_containment(
 
     if method == "auto":
         if C.kind is ContainerKind.BALL:
-            method = "ball"
-        elif C.facets is not None:
-            method = "hrep"
-        else:
-            method = "vrep"
-    if method == "ball":
-        if C.kind is not ContainerKind.BALL:
-            raise ValueError("ball method needs a ball container")
-        return _solve_ball(P, C, tol)
+            return _solve_ball(P, C, tol)
+        method = "hrep" if C.facets is not None else "vrep"
     if method == "hrep":
         if C.facets is None:
             raise ValueError("hrep method needs container facets")
@@ -468,36 +462,17 @@ def support_points(
 ) -> tuple[int, ...]:
     """Indices S with |S| <= d+1 and R(S, C) = R(P, C).
 
-    Taken from the certificate's touching points (which inherit the
-    optimality certificate, hence the full radius).  Degenerate dual
-    bases are repaired by dropping redundant candidates one at a time.
+    The certificate's touching points, which inherit its optimality
+    certificate and hence the full radius; a re-solve on S confirms it.
+    A certificate failure propagates (``NotOptimalError``, ``LpError``),
+    and so does a re-solve that misses the radius (``LpError``).
     """
     if sol.rho <= _roundoff(sol.center):
         return (0,)
-    try:
-        cert = make_certificate(P, C, sol, tol)
-        cand = sorted(set(cert.point_indices))
-    except (NotOptimalError, LpError):
-        cand = sorted(np.nonzero(sol.duals > 1e-9)[0].tolist())
-        if not cand:
-            cand = list(sol.active_points)
-    sub = min_containment(P.subset(cand), C, tol)
-    if sub.rho >= sol.rho * (1.0 - tol.eq) and len(cand) <= P.dim + 1:
-        return tuple(cand)
-    # repair: greedily drop members whose removal keeps the radius
-    cand = sorted(set(cand) | set(sol.active_points))
-    changed = True
-    while changed and len(cand) > 1:
-        changed = False
-        for i in range(len(cand)):
-            trial = cand[:i] + cand[i + 1 :]
-            if min_containment(P.subset(trial), C, tol).rho >= sol.rho * (1.0 - tol.eq):
-                cand = trial
-                changed = True
-                break
-    if min_containment(P.subset(cand), C, tol).rho < sol.rho * (1.0 - tol.eq):
-        raise LpError("support extraction failed to reproduce the radius")
-    return tuple(cand)
+    S = make_certificate(P, C, sol, tol).point_indices
+    if len(S) > P.dim + 1 or min_containment(P.subset(S), C, tol).rho < sol.rho * (1.0 - tol.eq):
+        raise LpError("certificate points do not reproduce the radius")
+    return S
 
 
 def halfspace_lemma_check(P: PointSet, sol: Solution, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -29,6 +29,7 @@ from .geometry import (
     PointSet,
     Tolerance,
 )
+from .lp import LpError
 from .radii import core_radius
 
 __all__ = [
@@ -53,9 +54,9 @@ class CoreSet:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
 
 
-def _coverage_eps(P: PointSet, C: Container, radius: float, center, tol: Tolerance) -> float:
-    """Smallest eps with P inside center + (1+eps) * radius * C."""
-    worst = float(np.max(all_gauges(P, C, center, tol)))
+def _coverage_eps(gauges: np.ndarray, radius: float, tol: Tolerance) -> float:
+    """Smallest eps with every gauge at most (1+eps) * radius."""
+    worst = float(np.max(gauges))
     if radius <= 0:
         return 0.0 if worst <= tol.feas else np.inf
     return max(0.0, worst / radius - 1.0)
@@ -67,47 +68,41 @@ def greedy_coreset(
     """Farthest-point greedy: grow S until its dilated solution covers P.
 
     Starts from a double-sweep pair (farthest from the first point, then
-    farthest from that), adds the worst-covered point each round, and
-    falls back to the exact zero-core-set after d+2 rounds.  The result
-    is center-conform by construction.
+    farthest from that) and adds the worst-covered point each round, so it
+    ends within n rounds; a round whose worst point is already in S raises
+    ``LpError``.  The result is center-conform by construction.
     """
     if eps <= 0:
         raise ValueError("greedy needs eps > 0; use extract_zero_coreset for eps = 0")
-    if len(P) == 1:
-        return CoreSet((0,), 0.0, P.points[0].copy(), 0.0, True)
     pts = P.points
-    p0 = 0
-    p1 = int(np.argmax(all_gauges(P, C, pts[p0], tol)))
+    p1 = int(np.argmax(all_gauges(P, C, pts[0], tol)))
     p0 = int(np.argmax(all_gauges(P, C, pts[p1], tol)))
-    S = sorted({p0, p1})
-    if len(S) == 1:  # all points identical
-        S = [0]
-
-    for _ in range(P.dim + 2):
+    S = sorted({p0, p1})  # [0] when all points coincide
+    while True:
         sol = min_containment(P.subset(S), C, tol)
         gauges = all_gauges(P, C, sol.center, tol)
         worst = int(np.argmax(gauges))
-        if sol.rho <= 0:
-            if gauges[worst] <= tol.feas:
-                return CoreSet(tuple(S), 0.0, sol.center, 0.0, True)
-        elif gauges[worst] <= (1.0 + eps) * sol.rho + tol.feas:
-            achieved = _coverage_eps(P, C, sol.rho, sol.center, tol)
+        if gauges[worst] <= (1.0 + eps) * sol.rho + tol.feas:
+            achieved = _coverage_eps(gauges, sol.rho, tol)
             return CoreSet(tuple(S), sol.rho, sol.center, achieved, True)
-        if worst not in S:
-            S = sorted(S + [worst])
-    return extract_zero_coreset(P, C, tol)
+        if worst in S:
+            raise LpError(f"greedy core-set: point {worst} of S is uncovered by its own solution")
+        S = sorted(S + [worst])
 
 
 def extract_zero_coreset(P: PointSet, C: Container, tol: Tolerance = DEFAULT_TOL) -> CoreSet:
-    """At most d+1 points with the full radius, from the solution support."""
+    """At most d+1 points with the full radius, from the solution support.
+
+    For polytopes, when the solver's center of S does not cover P, the
+    center set of S is searched for one that does; the Euclidean center
+    is unique, so a ball needs no search.
+    """
     sol = min_containment(P, C, tol)
     idx = support_points(P, C, sol, tol)
     sub = min_containment(P.subset(idx), C, tol)
-    achieved = _coverage_eps(P, C, sub.rho, sub.center, tol)
+    achieved = _coverage_eps(all_gauges(P, C, sub.center, tol), sub.rho, tol)
     conform = achieved <= tol.eq
-    if not conform:
-        # the sub-solution center may be a different valid center of S;
-        # look for one that covers all of P at the full radius
+    if not conform and C.kind is not ContainerKind.BALL:
         center = _find_covering_center(P, C, list(idx), sub.rho, 0.0, tol)
         if center is not None:
             return CoreSet(tuple(idx), sub.rho, center, 0.0, True)
@@ -118,16 +113,17 @@ def optimal_coreset_size(
     P: PointSet, C: Container, eps: float, tol: Tolerance = DEFAULT_TOL, budget: int | None = None
 ) -> int:
     """Exact minimum size of an eps-core-set: smallest k+1 with
-    R(P) <= (1+eps) R_k(P)."""
+    R(P) <= (1+eps) R_k(P).  R_d(P) is R(P) itself, so k = d (size d+1)
+    always qualifies and is not computed."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     full = min_containment(P, C, tol).rho
     kwargs = {} if budget is None else {"budget": budget}
-    for k in range(1, P.dim + 1):
+    for k in range(1, P.dim):
         rk = core_radius(P, C, k, tol, **kwargs).value
         if full <= (1.0 + eps) * rk + tol.eq:
             return k + 1
-    return P.dim + 1  # unreachable: k = d always qualifies
+    return P.dim + 1
 
 
 def validate_coreset(
@@ -167,7 +163,7 @@ def _find_covering_center(
     P: PointSet, C: Container, idx: list[int], radius: float, eps: float, tol: Tolerance
 ):
     """A center c of S (gauge(s - c) <= radius on S) with
-    gauge(p - c) <= (1+eps) radius on all of P, or None.
+    gauge(p - c) <= (1+eps) radius on all of P, or None; C is a polytope.
 
     Both conditions become one containment program: the facet program
     with h_k the larger of the two per-facet maxima, or the vertex
@@ -177,10 +173,6 @@ def _find_covering_center(
     """
     allowed = (1.0 + eps) * radius
     slack = tol.feas * max(1.0, allowed)
-    if C.kind is ContainerKind.BALL:
-        center = min_containment(P.subset(idx), C, tol).center  # unique
-        worst = float(np.max(all_gauges(P, C, center, tol)))
-        return center if worst <= allowed + slack else None
     if C.facets is not None:
         prods = P.points @ C.facets.T
         h = np.maximum(prods[idx].max(axis=0) - radius, prods.max(axis=0) - allowed)

@@ -187,7 +187,6 @@ def _simplex_iterate(
     b: np.ndarray,
     c: np.ndarray,
     basis: np.ndarray,
-    allowed: np.ndarray,
     tol: Tolerance,
 ) -> tuple[str, np.ndarray, np.ndarray]:
     """Primal simplex from a feasible basis.  Returns (status, basis, duals y)."""
@@ -209,7 +208,7 @@ def _simplex_iterate(
             xB = B_inv @ b
         y = c[basis] @ B_inv
         reduced = c - y @ A
-        cand = np.where(allowed & (reduced < -opt_tol))[0]
+        cand = np.where(reduced < -opt_tol)[0]
         if cand.size == 0:
             return "optimal", basis, y
         enter = int(cand[0]) if bland else int(cand[np.argmin(reduced[cand])])
@@ -267,8 +266,7 @@ def _phase1(std: _Standard, tol: Tolerance):
         basis[i] = n + k
     A1 = np.hstack([A, art])
     c1 = np.concatenate([np.zeros(n), np.ones(len(need_art))])
-    allowed = np.ones(A1.shape[1], dtype=bool)
-    status, basis, y1 = _simplex_iterate(A1, b, c1, basis, allowed, tol)
+    status, basis, y1 = _simplex_iterate(A1, b, c1, basis, tol)
     if status != "optimal":
         raise LpError("phase 1 did not terminate at an optimum")
     B_inv = np.linalg.inv(A1[:, basis])
@@ -325,10 +323,7 @@ def solve_lp(lp: LinearProgram, tol: Tolerance = DEFAULT_TOL) -> LpResult:
         dual = _map_duals(farkas[:m_std], std, lp)
         return LpResult(LpStatus.INFEASIBLE, np.inf if not lp.maximize else -np.inf, None, dual)
 
-    n_real = std.A.shape[1]
-    c2 = np.concatenate([std.c, np.zeros(A.shape[1] - n_real)]) if A.shape[1] > n_real else std.c
-    allowed = np.ones(A.shape[1], dtype=bool)
-    status, basis, y = _simplex_iterate(A, b, c2, basis, allowed, tol)
+    status, basis, y = _simplex_iterate(A, b, std.c, basis, tol)
     if status == "unbounded":
         return LpResult(LpStatus.UNBOUNDED, -np.inf if not lp.maximize else np.inf, None, None)
 

@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .containment import make_certificate, min_containment, support_points
+from .containment import _roundoff, make_certificate, min_containment, support_points
 from .geometry import (
     DEFAULT_TOL,
     Container,
@@ -48,24 +48,29 @@ class BudgetExceeded(RuntimeError):
 class CoreRadiusResult:
     k: int
     value: float
-    witness: tuple[int, ...]  # <= k+1 affinely independent indices into P
+    witness: tuple[int, ...]  # <= k+1 indices into P, see _reduce_witness
 
 
 def _affinely_independent(pts: np.ndarray, tol: Tolerance) -> bool:
     if pts.shape[0] <= 1:
         return True
     diffs = pts[1:] - pts[0]
-    scale = max(1.0, float(np.abs(diffs).max()))
+    scale = float(np.abs(diffs).max())  # relative: the test is free of the data's scale
     return np.linalg.matrix_rank(diffs, tol=1e3 * tol.pivot * scale) == pts.shape[0] - 1
 
 
 def _reduce_witness(P: PointSet, C: Container, subset, value: float, tol: Tolerance):
-    """Shrink a maximising subset until it is affinely independent."""
+    """Shrink a maximising subset until it is affinely independent,
+    dropping the last member that keeps the value (within tol.eq relative)
+    so that the kept witness stays lexicographically smallest.  When no
+    member can go, the dependent subset is the witness: outside the ball
+    that happens, e.g. four coplanar points in R^3 whose radius in the
+    simplex no three of them reach."""
     sub = list(subset)
     while len(sub) > 1 and not _affinely_independent(P.points[sub], tol):
-        for i in range(len(sub)):
+        for i in reversed(range(len(sub))):
             trial = sub[:i] + sub[i + 1 :]
-            if min_containment(P.subset(trial), C, tol).rho >= value - tol.eq * max(1.0, value):
+            if min_containment(P.subset(trial), C, tol).rho >= value * (1.0 - tol.eq):
                 sub = trial
                 break
         else:
@@ -243,7 +248,9 @@ def cylinder_radius_check(
     The cylinder C+F is translation-invariant along F, so the value is
     computed as a k-dimensional containment problem after projecting P and
     C onto the orthogonal complement of F.  Equals the k-th core radius;
-    callers assert the agreement.
+    callers assert the agreement.  The witness radius is zero only when
+    its points coincide, and is then returned as is; a certificate that
+    fails, or whose normals leave no room for F, raises.
     """
     if C.kind is not ContainerKind.BALL and C.vertices is None:
         raise InvalidContainer("cylinder check needs container vertices or a ball")
@@ -255,55 +262,24 @@ def cylinder_radius_check(
 
     S = P.subset(list(core.witness))
     sol = min_containment(S, C, tol)
-    if sol.rho <= tol.eq:
-        return min_containment(P, C, tol).rho if len(P) == 1 else sol.rho
+    if sol.rho <= _roundoff(sol.center):  # all points coincide
+        return sol.rho
     cert = make_certificate(S, C, sol, tol)
     # the certificate carries one normal per witness point, so at most k+1
     # normals of rank at most k: their null space has room for the axis
-    try:
-        b_perp = _complement_basis(cert.normals, d, k, tol)
-        return _project_and_solve(P, C, b_perp, tol)
-    except LpError:
-        pass
-    # numerically degenerate certificate: evaluate legitimate fallback
-    # axes (each value is a valid cylinder radius <= the core radius, so
-    # the best one is reported)
-    best = -np.inf
-    for b_perp in _fallback_bases(P, core, cert, k, tol):
-        best = max(best, _project_and_solve(P, C, b_perp, tol))
-        if best >= core.value - 0.5 * tol.eq * max(1.0, core.value):
-            break
-    return best
+    return _project_and_solve(P, C, _complement_basis(cert.normals, d, k, tol), tol)
 
 
 def _complement_basis(normals: np.ndarray, d: int, k: int, tol: Tolerance) -> np.ndarray:
     """Rows spanning the complement of a (d-k)-dimensional axis inside the
-    normals' null space."""
+    normals' null space; ``LpError`` when the normals leave no room."""
     _, sv, Vt = np.linalg.svd(normals, full_matrices=True)
     rank = int(np.sum(sv > 1e3 * tol.pivot * sv[0])) if sv.size else 0
     if d - rank < d - k:
         raise LpError("certificate normals span too much: no room for the cylinder axis")
-    # axis F = first d-k null-space directions; keep row space + leftovers
-    b_perp = np.vstack([Vt[:rank], Vt[rank + (d - k) :]])
-    if b_perp.shape[0] != k:
-        raise LpError("cylinder axis construction lost dimensions")
-    return b_perp
-
-
-def _fallback_bases(P: PointSet, core: CoreRadiusResult, cert, k: int, tol: Tolerance):
-    d = P.dim
-    W = P.points[list(core.witness)]
-    if len(W) > 1:
-        hull_dirs = _orthonormal_rows(W[1:] - W[0], tol)
-        if len(hull_dirs):
-            # axis orthogonal to the witness affine hull
-            yield _complement_basis(hull_dirs, d, k, tol)
-    seen: list[np.ndarray] = []
-    for a in cert.normals:
-        if any(np.max(np.abs(a - u)) <= 1e-9 for u in seen):
-            continue
-        seen.append(a)
-        yield _complement_basis(a[None, :], d, k, tol)
+    # axis F = first d-k null-space directions; keep row space + leftovers,
+    # rank + (k - rank) = k rows
+    return np.vstack([Vt[:rank], Vt[rank + (d - k) :]])
 
 
 def _project_and_solve(P: PointSet, C: Container, b_perp: np.ndarray, tol: Tolerance) -> float:

@@ -106,6 +106,24 @@ class TestSolverFailure:
         assert out == ""
         assert json.loads(err)["error"].startswith("LpError: ")
 
+    def test_certificate_failure_is_not_swallowed(self, capsys, monkeypatch):
+        # the zero core-set comes from the certificate's points; when the
+        # certificate fails, the command fails with it
+        def fail(*args, **kwargs):
+            raise LpError("certificate normals do not balance")
+
+        _, gen_out, _ = run_cli(capsys, ["gen", "random", "--dim", "3", "--n", "30", "--seed", "4"])
+        monkeypatch.setattr("homothetics.containment.make_certificate", fail)
+        code, out, err = run_cli(
+            capsys,
+            ["coreset", "--eps", "0.25", "--zero", "--container", "ball"],
+            stdin=gen_out,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "LpError: certificate normals do not balance"
+
 
 class TestRadiiCoresetAsym:
     def test_radii(self, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -94,6 +96,12 @@ class TestMinContainment:
         assert np.allclose(sol.center, [2, 3])
         assert sol.duals[0] == 1.0
 
+    def test_method_must_fit_the_container(self):
+        P = random_pointset(4, 2, seed=1)
+        for method in ("ball", "hrep", "vrep", "simplex"):
+            with pytest.raises(ValueError):
+                min_containment(P, Container.ball(2), method=method)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             min_containment(PointSet([[1.0, 2.0, 3.0]]), Container.ball(2))
@@ -162,6 +170,56 @@ class TestInvariances:
             base, abs=1e-6
         )
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from(["ball", "H", "V", "V-vrep"]),
+        st.integers(2, 4),
+        st.integers(3, 12),
+        st.integers(0, 10_000),
+    )
+    def test_permutation_invariance(self, form, d, n, seed):
+        C = {
+            "ball": Container.ball(d),
+            "H": Container.from_normals(regular_simplex(d)[1].normals),
+            "V": Container.from_vertices(simplex_cap_neg(d).vertices),
+            "V-vrep": Container.from_vertices(simplex_cap_neg(d).vertices),
+        }[form]
+        method = "vrep" if form == "V-vrep" else "auto"
+        P = random_pointset(n, d, seed=seed, distribution="gauss")
+        perm = np.random.default_rng(seed).permutation(n)
+        Q = P.subset(perm)
+        sol, sol_q = min_containment(P, C, method=method), min_containment(Q, C, method=method)
+        assert sol_q.rho == pytest.approx(sol.rho, rel=1e-9)
+        if form == "ball":
+            # general position: the touching set, hence the certificate's
+            # point set, is unique
+            cert, cert_q = make_certificate(P, C, sol), make_certificate(Q, C, sol_q)
+            assert sorted(perm[list(cert_q.point_indices)]) == list(cert.point_indices)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from(["box", "cross", "negT", "cap"]),
+        st.integers(2, 4),
+        st.floats(0.0, 1.0),
+        st.integers(0, 10_000),
+    )
+    def test_affine_invariance(self, tag, d, log_cond, seed):
+        # R(AP, AC) = R(P, C): AC has normals A^-T a, and cond(A) <= 10
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        s = 10.0 ** np.linspace(0.0, log_cond, d) * 10.0 ** rng.uniform(-2, 2)
+        A = U @ np.diag(s) @ V.T
+        N = np.asarray(corpus_container(tag, d).facets)
+        C = Container.from_normals(N)
+        AC = Container.from_normals(N @ np.linalg.inv(A))
+        P = random_pointset(10, d, seed=seed, distribution="gauss")
+        AP = PointSet(P.points @ A.T)
+        base = min_containment(P, C)
+        image = min_containment(AP, AC)
+        assert image.rho == pytest.approx(base.rho, rel=1e-9)
+        make_certificate(AP, AC, image)
+
     def test_hrep_vrep_agree(self):
         for seed in range(10):
             d = 2 + seed % 3
@@ -212,6 +270,26 @@ class TestDerivedFacetSolves:
         assert np.max(np.abs(cert.lam @ cert.normals)) <= 1e-6
         for p, a in zip(cert.touch_points, cert.normals):
             assert a @ (p - sol.center) / sol.rho == pytest.approx(1.0, abs=1e-5)
+
+    def test_six_cube_suboptimal_candidate_is_separated(self):
+        # a feasible candidate off the optimum: the fresh vertex-program
+        # solve has a smaller rho, so the normals come from the polar
+        # support of each touching point, and they certify "separated"
+        C = Container.from_vertices(cube_vertices(6))
+        P = random_pointset(6, 6, seed=83, distribution="gauss")
+        sol = min_containment(P, C)
+        u = P.points[sol.active_points[0]] - sol.center
+        axis = int(np.argmax(np.abs(u)))
+        center = sol.center.copy()
+        center[axis] += 0.05 * np.sign(u[axis])
+        rho = float(np.max(np.abs(P.points - center)))  # the cube's gauge
+        assert rho > sol.rho * (1.0 + 1e-3)
+        with pytest.raises(NotOptimalError) as err:
+            make_certificate(P, C, Solution(rho, center, (), (), sol.duals))
+        assert err.value.reason == "separated"
+        y = err.value.direction
+        shifted = center - 1e-3 * y
+        assert np.max(np.abs(P.points - shifted)) < rho
 
     def test_box_v_solve_and_certificate_skip_vertex_program(self, monkeypatch):
         calls = []
@@ -360,6 +438,28 @@ class TestCertificates:
             S = support_points(P, C, sol)
             assert len(S) <= 4
             assert min_containment(P.subset(list(S)), C).rho == pytest.approx(sol.rho, abs=1e-6)
+
+    def test_support_points_raise_on_certificate_failure(self, monkeypatch):
+        P = random_pointset(12, 3, seed=55)
+        C = corpus_container("box", 3)
+        sol = min_containment(P, C)
+
+        def fail(*args, **kwargs):
+            raise LpError("certificate normals do not balance")
+
+        monkeypatch.setattr(containment, "make_certificate", fail)
+        with pytest.raises(LpError, match="do not balance"):
+            support_points(P, C, sol)
+
+    def test_support_points_raise_when_the_resolve_misses(self, monkeypatch):
+        P = random_pointset(12, 3, seed=55)
+        C = corpus_container("box", 3)
+        sol = min_containment(P, C)
+        monkeypatch.setattr(
+            containment, "min_containment", lambda *a, **k: replace(sol, rho=0.5 * sol.rho)
+        )
+        with pytest.raises(LpError, match="reproduce the radius"):
+            support_points(P, C, sol)
 
 
 class TestHalfspaceLemma:

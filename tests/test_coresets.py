@@ -1,10 +1,13 @@
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
-from homothetics import DEFAULT_TOL, Container, PointSet, reflect
+from homothetics import DEFAULT_TOL, Container, DimensionMismatch, PointSet, coresets, reflect
 from homothetics.containment import min_containment
+from homothetics.lp import LpError
+from homothetics.radii import core_radius
 from homothetics.coresets import (
     _find_covering_center,
     center_conformity_bound_check,
@@ -61,6 +64,27 @@ class TestGreedy:
         cs = greedy_coreset(PointSet([[1.0, 2.0]]), Container.ball(2), eps=0.5)
         assert cs.indices == (0,) and cs.radius == 0.0
 
+    def test_coincident_points(self):
+        cs = greedy_coreset(PointSet(np.full((5, 3), 2.0)), standard_container("box", 3), eps=0.5)
+        assert cs.indices == (0,) and cs.radius == 0.0 and cs.eps_achieved == 0.0
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            greedy_coreset(random_pointset(6, 3, seed=1), standard_container("box", 4), eps=0.5)
+
+    def test_round_that_adds_no_point_raises(self, monkeypatch):
+        # a solution of S that leaves a point of S uncovered would stall the
+        # greedy; it raises instead
+        P = random_pointset(10, 2, seed=3)
+
+        def off_center(Q, C, tol=DEFAULT_TOL):
+            sol = min_containment(Q, C, tol)
+            return replace(sol, center=sol.center + 10.0)
+
+        monkeypatch.setattr(coresets, "min_containment", off_center)
+        with pytest.raises(LpError, match="uncovered"):
+            greedy_coreset(P, Container.ball(2), eps=0.5)
+
 
 class TestZeroCoreset:
     def test_centroid_dropped(self):
@@ -111,8 +135,6 @@ class TestOptimalSize:
     def test_matches_ratio_definition(self):
         P = random_pointset(10, 3, seed=400)
         C = Container.ball(3)
-        from homothetics.radii import core_radius
-
         full = min_containment(P, C).rho
         for eps in (0.05, 0.2, 0.6):
             size = optimal_coreset_size(P, C, eps)
@@ -127,6 +149,19 @@ class TestOptimalSize:
             d = 2 + seed % 4
             P = random_pointset(12, d, seed=seed)
             assert optimal_coreset_size(P, standard_container("box", d), 0.0) == 2
+
+    def test_top_radius_not_enumerated(self, monkeypatch):
+        # R_d(P) = R(P): size d+1 is returned without a k = d core radius
+        ks = []
+
+        def counting(P, C, k, *args, **kwargs):
+            ks.append(k)
+            return core_radius(P, C, k, *args, **kwargs)
+
+        monkeypatch.setattr(coresets, "core_radius", counting)
+        P, T = regular_simplex(3)
+        assert optimal_coreset_size(P, reflect(T), 0.4) == 4
+        assert ks == [1, 2]
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
@@ -185,6 +220,15 @@ class TestBoxAmbiguity:
         assert np.allclose(center, [1.0, 1.0, 0.0], atol=1e-6)
         # below R(S) = 1 the pair has no center at all
         assert _find_covering_center(P, box, pair, 0.9, 0.0, DEFAULT_TOL) is None
+
+    def test_six_cube_vertex_program_search(self):
+        # beyond the facet budget the center search runs on the vertex program
+        P = box_ambiguity_instance(6, 0.5)
+        cube = Container.from_vertices(np.array(list(product((-1.0, 1.0), repeat=6))))
+        assert cube.facets is None
+        pair = [10, 11]
+        assert validate_coreset(P, cube, pair, 0.0, require_center_conform=True)
+        assert not validate_coreset(P, cube, pair, 0.0, require_center_conform=True, fixed_center=True)
 
     def test_tau_zero_instance(self):
         P = box_ambiguity_instance(2, 0.0)

@@ -73,6 +73,25 @@ class TestSolveLp:
         assert res.status is LpStatus.OPTIMAL
         assert np.allclose(res.primal, [2.0, 3.0])
 
+    def test_upper_bound_only(self):
+        # x <= 3 with no lower bound is standardised as x = 3 - z, z >= 0
+        res = solve_lp(LinearProgram.new([-1.0], [[1.0]], ["<="], [10.0], upper=[3.0]))
+        assert res.status is LpStatus.OPTIMAL
+        assert res.primal[0] == pytest.approx(3.0)
+        assert res.value == pytest.approx(-3.0)
+
+    def test_zero_artificials_driven_out_of_the_basis(self):
+        # phase 1 ends feasible with an artificial still basic at zero on a
+        # row that is not redundant; it is pivoted out, and the row stays
+        lp = LinearProgram.new(
+            [1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], ["=", "="], [0.0, 0.0], lower=[0.0, 0.0]
+        )
+        res = solve_lp(lp)
+        assert res.status is LpStatus.OPTIMAL
+        assert res.value == 0.0
+        assert np.array_equal(res.primal, [0.0, 0.0])
+        assert res.dual.shape == (2,)
+
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((12, 5))

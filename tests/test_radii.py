@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homothetics import DEFAULT_TOL, Container, InvalidContainer, PointSet, reflect
 from homothetics import radii
-from homothetics.containment import min_containment
+from homothetics.containment import make_certificate, min_containment
+from homothetics.lp import LpError
 from homothetics.instances import (
     random_pointset,
     regular_simplex,
@@ -208,9 +211,92 @@ class TestRadiusIdentities:
             cylinder_radius_check(P, honly, 2)
 
     def test_degenerate_symmetric_witness(self):
-        # witness containment with a unique center whose balanced normals
-        # have full rank: handled by the fallback axes
+        # T^4 in its cap at k = 3: the certificate's normals leave room for
+        # the one-dimensional axis
         P, _ = regular_simplex(4)
         C = simplex_cap_neg(4)
         core = core_radius(P, C, 3)
         assert cylinder_radius_check(P, C, 3, core=core) == pytest.approx(3.0, abs=1e-6)
+
+
+def affinely_independent(W: np.ndarray) -> bool:
+    D = W[1:] - W[0]
+    return len(W) == 1 or np.linalg.matrix_rank(D, tol=1e-6 * np.abs(D).max()) == len(W) - 1
+
+
+class TestWitnessReduction:
+    """A maximising subset that is affinely dependent is shrunk, while a
+    member can go without lowering the radius, to the lexicographically
+    smallest such witness."""
+
+    @pytest.mark.parametrize("tag", ["ball", "box"])
+    def test_collinear_points(self, tag):
+        # every 3-subset of 5 collinear points is dependent; the segment's
+        # end points carry the radius
+        P = PointSet(np.outer(np.arange(5.0), [1.0, 2.0, 3.0]))
+        C = Container.ball(3) if tag == "ball" else standard_container("box", 3)
+        res = core_radius(P, C, 2)
+        assert res.witness == (0, 4)
+        assert res.value == pytest.approx(min_containment(P, C).rho, rel=1e-12)
+
+    def test_dependent_witness_kept_when_no_member_can_go(self):
+        # four points in the plane x + y = 0: their radius in the simplex
+        # exceeds that of every three of them, so the witness is all four
+        Q = random_pointset(4, 2, seed=55, distribution="gauss").points
+        P = PointSet(np.column_stack([Q[:, 0], -Q[:, 0], Q[:, 1]]))
+        T = regular_simplex(3)[1]
+        res = core_radius(P, T, 3)
+        assert res.witness == (0, 1, 2, 3)
+        assert not affinely_independent(P.points)
+        for i in range(4):
+            rest = [j for j in range(4) if j != i]
+            assert min_containment(P.subset(rest), T).rho < 0.95 * res.value
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_identical_points(self, k):
+        res = core_radius(PointSet(np.ones((4, 3))), Container.ball(3), k)
+        assert res.value == 0.0
+        assert res.witness == (0,)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(-8.0, 6.0), st.integers(1, 2), st.integers(0, 10_000))
+    @example(-8.0, 2, 0)
+    @example(-7.0, 1, 1)
+    @example(6.0, 2, 2)
+    def test_ball_witness_is_scale_free(self, log_sigma, k, seed):
+        P = random_pointset(8, 3, seed=seed, distribution="gauss").scale(10.0**log_sigma)
+        C = Container.ball(3)
+        res = core_radius(P, C, k)
+        assert len(res.witness) <= k + 1
+        W = P.points[list(res.witness)]
+        assert affinely_independent(W)
+        own = min_containment(PointSet(W), C).rho
+        assert own == pytest.approx(res.value, rel=1e-9)
+
+
+class TestCylinderCheck:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_small_scale_projects_through_the_certificate(self, k, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return make_certificate(*args, **kwargs)
+
+        monkeypatch.setattr(radii, "make_certificate", counting)
+        P = random_pointset(8, 3, seed=5, distribution="gauss").scale(1e-7)
+        C = Container.ball(3)
+        core = core_radius(P, C, k)
+        assert len(core.witness) == k + 1
+        value = cylinder_radius_check(P, C, k, core=core)
+        assert calls == [1]
+        assert value == pytest.approx(core.value, rel=1e-9)
+
+    def test_normals_leaving_no_room_for_the_axis_raise(self):
+        with pytest.raises(LpError, match="no room"):
+            radii._complement_basis(np.eye(3), 3, 2, DEFAULT_TOL)
+        assert radii._complement_basis(np.eye(3)[:2], 3, 2, DEFAULT_TOL).shape == (2, 3)
+
+    def test_coincident_points_have_radius_zero(self):
+        P = PointSet(np.full((3, 2), 1e9))
+        assert cylinder_radius_check(P, Container.ball(2), 1) == 0.0
