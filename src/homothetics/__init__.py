@@ -50,6 +50,7 @@ from .coresets import (
 )
 from .radii import (
     CoreRadiusResult,
+    core_radii,
     core_radius,
     cylinder_radius_check,
     intersection_radius_check,
@@ -92,6 +93,7 @@ __all__ = [
     "optimal_coreset_size",
     "validate_coreset",
     "CoreRadiusResult",
+    "core_radii",
     "core_radius",
     "cylinder_radius_check",
     "intersection_radius_check",

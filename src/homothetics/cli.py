@@ -37,7 +37,7 @@ from .instances import (
     simplex_cap_neg,
     standard_container,
 )
-from .radii import core_radius, minkowski_asymmetry
+from .radii import DEFAULT_BUDGET, core_radius, minkowski_asymmetry
 
 _NAMED_CONTAINERS = ("ball", "box", "cross", "simplex", "neg-simplex", "cap")
 
@@ -151,7 +151,7 @@ def _cmd_radii(args) -> int:
         raise _CliError("radii needs both a point set and a container")
     if not 1 <= args.k <= P.dim:
         raise _CliError(f"--k must be in [1, {P.dim}]")
-    res = core_radius(P, C, args.k, tol)
+    res = core_radius(P, C, args.k, tol, args.budget)
     _emit({"k": res.k, "value": res.value, "witness": list(res.witness)}, args)
     return 0
 
@@ -162,7 +162,7 @@ def _cmd_coreset(args) -> int:
     if P is None or C is None:
         raise _CliError("coreset needs both a point set and a container")
     if args.exact:
-        size = optimal_coreset_size(P, C, args.eps, tol)
+        size = optimal_coreset_size(P, C, args.eps, tol, args.budget)
         _emit({"mode": "exact", "eps": args.eps, "size": size}, args)
         return 0
     if args.zero:
@@ -248,6 +248,16 @@ def _cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
+def _add_budget(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help="most (k+1)-point subsets a core radius may enumerate; beyond it, exit 3 "
+        f"(default {DEFAULT_BUDGET})",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homothetics",
@@ -263,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radii", help="k-th core radius with witness")
     _add_common(p)
     p.add_argument("--k", type=int, required=True)
+    _add_budget(p)
     p.set_defaults(fn=_cmd_radii)
 
     p = sub.add_parser("coreset", help="construct or size core-sets")
@@ -272,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--greedy", action="store_true", help="farthest-point greedy (default)")
     mode.add_argument("--exact", action="store_true", help="exact minimum size via core radii")
     mode.add_argument("--zero", action="store_true", help="zero-core-set from the solver support")
+    _add_budget(p)
     p.set_defaults(fn=_cmd_coreset)
 
     p = sub.add_parser("asym", help="Minkowski asymmetry of a container")

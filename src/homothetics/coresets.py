@@ -17,6 +17,8 @@ import numpy as np
 
 from .containment import (
     _facet_program,
+    _roundoff,
+    _slack,
     _vertex_program,
     all_gauges,
     min_containment,
@@ -30,7 +32,7 @@ from .geometry import (
     Tolerance,
 )
 from .lp import LpError
-from .radii import core_radius
+from .radii import DEFAULT_BUDGET, core_radii
 
 __all__ = [
     "CoreSet",
@@ -70,7 +72,10 @@ def greedy_coreset(
     Starts from a double-sweep pair (farthest from the first point, then
     farthest from that) and adds the worst-covered point each round, so it
     ends within n rounds; a round whose worst point is already in S raises
-    ``LpError``.  The result is center-conform by construction.
+    ``LpError``.  A point counts as covered within the gauge slack of
+    ``containment``, tol.feas relative to the radius, so the stop test is
+    free of the data's scale.  The result is center-conform by
+    construction.
     """
     if eps <= 0:
         raise ValueError("greedy needs eps > 0; use extract_zero_coreset for eps = 0")
@@ -82,7 +87,7 @@ def greedy_coreset(
         sol = min_containment(P.subset(S), C, tol)
         gauges = all_gauges(P, C, sol.center, tol)
         worst = int(np.argmax(gauges))
-        if gauges[worst] <= (1.0 + eps) * sol.rho + tol.feas:
+        if gauges[worst] <= (1.0 + eps) * sol.rho + _slack(sol.rho, sol.center, tol):
             achieved = _coverage_eps(gauges, sol.rho, tol)
             return CoreSet(tuple(S), sol.rho, sol.center, achieved, True)
         if worst in S:
@@ -110,19 +115,22 @@ def extract_zero_coreset(P: PointSet, C: Container, tol: Tolerance = DEFAULT_TOL
 
 
 def optimal_coreset_size(
-    P: PointSet, C: Container, eps: float, tol: Tolerance = DEFAULT_TOL, budget: int | None = None
+    P: PointSet,
+    C: Container,
+    eps: float,
+    tol: Tolerance = DEFAULT_TOL,
+    budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Exact minimum size of an eps-core-set: smallest k+1 with
-    R(P) <= (1+eps) R_k(P).  R_d(P) is R(P) itself, so k = d (size d+1)
+    R(P) <= (1+eps) R_k(P), reading R_1, R_2, ... from one ``core_radii``
+    pass until one qualifies.  R_d(P) is R(P) itself, so k = d (size d+1)
     always qualifies and is not computed."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     full = min_containment(P, C, tol).rho
-    kwargs = {} if budget is None else {"budget": budget}
-    for k in range(1, P.dim):
-        rk = core_radius(P, C, k, tol, **kwargs).value
-        if full <= (1.0 + eps) * rk + tol.eq:
-            return k + 1
+    for core in core_radii(P, C, range(1, P.dim), tol, budget):
+        if full <= (1.0 + eps) * core.value + tol.eq:
+            return core.k + 1
     return P.dim + 1
 
 
@@ -140,7 +148,9 @@ def validate_coreset(
     With ``require_center_conform`` the validator searches the full set of
     centers of S for one covering P at (1+eps) R(S); ``fixed_center``
     instead commits to the solver's center for S, reproducing the failure
-    mode of ambiguous centers.
+    mode of ambiguous centers.  Coverage allows the gauge slack of
+    ``containment``, tol.feas relative to (1+eps) R(S), so the answer is
+    free of the data's scale.
     """
     idx = sorted(int(i) for i in indices)
     if not idx or not set(idx) <= set(range(len(P))):
@@ -155,7 +165,7 @@ def validate_coreset(
     if fixed_center or C.kind is ContainerKind.BALL:
         # the Euclidean center is unique anyway
         worst = float(np.max(all_gauges(P, C, sub.center, tol)))
-        return worst <= allowed + tol.feas * max(1.0, allowed)
+        return worst <= allowed + _slack(allowed, sub.center, tol)
     return _find_covering_center(P, C, idx, sub.rho, eps, tol) is not None
 
 
@@ -168,11 +178,12 @@ def _find_covering_center(
     Both conditions become one containment program: the facet program
     with h_k the larger of the two per-facet maxima, or the vertex
     program with offsets radius on S and (1+eps) radius on P.  Its value
-    t is the largest violation, so near-ties inside tolerance are
+    t is the largest violation, so near-ties within tol.feas relative to
+    (1+eps) radius, or within the round-off of P's coordinates, are
     accepted.
     """
     allowed = (1.0 + eps) * radius
-    slack = tol.feas * max(1.0, allowed)
+    slack = max(tol.feas * allowed, _roundoff(P.points))
     if C.facets is not None:
         prods = P.points @ C.facets.T
         h = np.maximum(prods[idx].max(axis=0) - radius, prods.max(axis=0) - allowed)

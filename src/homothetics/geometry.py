@@ -4,8 +4,8 @@ A container is a full-dimensional compact convex body with the origin in
 its interior.  It carries outer normals (half-space form, every offset
 normalised to one), vertices (hull form), both, or is the Euclidean unit
 ball.  All types are immutable after construction and safe to share
-between threads (a container's derived facets are computed once, on
-first use); every operation here is a pure function.
+between threads (a container's derived facets and facet duals are
+computed once, on first use); every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -233,6 +233,25 @@ class Container:
         if d > ENUM_MAX_DIM or m > ENUM_MAX_ROWS or comb(m, d) > FACETS_MAX_SUBSETS:
             return None
         return _freeze(_polar_vertices(self.vertices))
+
+    @cached_property
+    def facet_duals(self) -> np.ndarray | None:
+        """Vertices of Lambda(C) = {lam >= 0 : A^T lam = 0, sum(lam) = 1}
+        over the rows A of ``facets``, one vertex per row, or None when
+        there are no facets or more than the facet budget's 250 000
+        (d+1)-subsets of them.  By LP duality of the facet program,
+        R(S, C) is the largest lam.h over these vertices, where
+        h_k = max_{p in S} a_k.p.  Enumerated once on first access and
+        cached."""
+        A = self.facets
+        if A is None:
+            return None
+        from .instances import FACETS_MAX_SUBSETS, _facet_duals
+
+        m, d = A.shape
+        if comb(m, d + 1) > FACETS_MAX_SUBSETS:
+            return None
+        return _freeze(_facet_duals(A))
 
     def is_symmetric(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """True when the body equals its reflection -C (checked setwise)."""

@@ -1,6 +1,7 @@
 """Deterministic generators: extremal bodies, random corpora, vertex
 enumeration for small H-polytopes (and, through the polar, facet
-enumeration for small V-polytopes).
+enumeration for small V-polytopes), and the batched subset solves behind
+them and behind the facet duals of ``Container.facet_duals``.
 
 The regular simplex is normalised so its vertices x_i satisfy
 |x_i|^2 = d and x_i.x_j = -1 for i != j; with unit-offset normals
@@ -31,16 +32,23 @@ __all__ = [
 ]
 
 # Enumeration budget: d-subsets of at most ENUM_MAX_ROWS rows in
-# dimension at most ENUM_MAX_DIM, solved _ENUM_CHUNK at a time.  Facets
+# dimension at most ENUM_MAX_DIM, solved in chunks of _ENUM_CHUNK 4x4
+# systems' worth of entries.  Facets
 # derived for a vertex-only container are enumerated on its first solve
 # without being asked for, so they also stay within FACETS_MAX_SUBSETS
 # d-subsets (the 5-cube has 201 376): at about 2.5 us per subset on a
 # 2-core x86 host, 40 vertices in d=6 would take 10 s where the vertex
-# program solves ten points in 20 ms.
+# program solves ten points in 20 ms.  The facet duals of a container
+# (``Container.facet_duals``), enumerated on its first core radius, stay
+# within FACETS_MAX_SUBSETS (d+1)-subsets of its facets; the
+# 5-cross-polytope, with 906 192, is beyond it.  With chunks of 8192 4x4
+# systems, peak RSS crept up by 0.03-0.07 MB per pass of the experiment
+# catalog (the 8x8 facet-dual systems of T cap -T in R^7); 2048 keep the
+# creep near 0.02 MB per pass on a 2-core x86 host.
 ENUM_MAX_DIM = 6
 ENUM_MAX_ROWS = 40
 FACETS_MAX_SUBSETS = 250_000
-_ENUM_CHUNK = 8192
+_ENUM_CHUNK = 2048
 
 FAMILIES = (
     "regular-simplex",
@@ -226,36 +234,87 @@ def vertex_enumeration(C: Container, tol: Tolerance = DEFAULT_TOL) -> Container:
     return Container.dual_rep(C.normals, _polar_vertices(C.normals, tol))
 
 
+def _subset_chunks(m: int, size: int, chunk: int | None = None):
+    """Every ``size``-subset of range(m) in lexicographic order, as index
+    arrays of at most ``chunk`` (default ``_ENUM_CHUNK``) rows, so the full
+    subset array never exists."""
+    subsets = combinations(range(m), size)
+    while True:
+        idx = np.fromiter(
+            chain.from_iterable(islice(subsets, chunk or _ENUM_CHUNK)), dtype=np.intp
+        )
+        if not idx.size:
+            return
+        yield idx.reshape(-1, size)
+
+
+def _square_solves(rows: np.ndarray, rhs: np.ndarray, transpose: bool = False):
+    """(subsets, solutions) per chunk of the square systems rows[S] x = rhs,
+    or rows[S]^T x = rhs with ``transpose``, over every len(rhs)-subset S
+    of the rows in lexicographic order.  A chunk holds as many matrix
+    entries as ``_ENUM_CHUNK`` 4x4 systems, so wider systems come in
+    fewer at a time.  A subset counts as singular, and is left out, when
+    |det| is below 1e-9 times the product of its row norms, a ratio free
+    of the data's scale."""
+    size = rows.shape[1]
+    norms = np.linalg.norm(rows, axis=1)
+    for idx in _subset_chunks(len(rows), size, max(1, _ENUM_CHUNK * 16 // size**2)):
+        M = rows[idx]
+        regular = np.abs(np.linalg.det(M)) > 1e-9 * np.prod(norms[idx], axis=1)
+        M = M[regular].transpose(0, 2, 1) if transpose else M[regular]
+        b = np.broadcast_to(rhs[:, None], (len(M), size, 1))
+        yield idx[regular], np.linalg.solve(M, b)[..., 0]
+
+
+def _first_unique(X: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Rows of X in order, without repeats on a grid of 10*tol.eq times
+    their largest coordinate."""
+    if not len(X):
+        return X
+    grid = 10.0 * tol.eq * float(np.abs(X).max())
+    _, first = np.unique(np.round(X / grid), axis=0, return_index=True)
+    return X[np.sort(first)]
+
+
 def _polar_vertices(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Vertices of the bounded polyhedron {x : r.x <= 1 for every row r}.
 
     With the rows a polytope's unit-offset normals this gives its
     vertices; with the rows its vertices, the vertices of the polar, which
     are its facet normals.  Every d-subset of rows is solved as equalities
-    in batches of ``_ENUM_CHUNK`` subsets, so the full subset array never
-    exists; feasible solutions are kept in subset order and deduplicated
-    on a grid of 10*tol.eq times their largest coordinate.  A subset
-    counts as singular when |det| is below 1e-9 times the product of its
-    row norms, a ratio free of the data's scale.
+    (``_square_solves``); feasible solutions are kept in subset order and
+    deduplicated (``_first_unique``).
     """
-    m, d = rows.shape
-    norms = np.linalg.norm(rows, axis=1)
-    subsets = combinations(range(m), d)
-    found = []
-    while True:
-        idx = np.fromiter(chain.from_iterable(islice(subsets, _ENUM_CHUNK)), dtype=np.intp)
-        if not idx.size:
-            break
-        idx = idx.reshape(-1, d)
-        M = rows[idx]
-        regular = np.abs(np.linalg.det(M)) > 1e-9 * np.prod(norms[idx], axis=1)
-        x = np.linalg.solve(M[regular], np.ones((int(regular.sum()), d, 1)))[..., 0]
-        found.append(x[(x @ rows.T).max(axis=1) <= 1.0 + tol.feas])
-    X = np.concatenate(found) if found else np.zeros((0, d))
-    if len(X):
-        grid = 10.0 * tol.eq * float(np.abs(X).max())
-        _, first = np.unique(np.round(X / grid), axis=0, return_index=True)
-        X = X[np.sort(first)]
+    d = rows.shape[1]
+    found = [
+        x[(x @ rows.T).max(axis=1) <= 1.0 + tol.feas] for _, x in _square_solves(rows, np.ones(d))
+    ]
+    X = _first_unique(np.concatenate(found) if found else np.zeros((0, d)), tol)
     if len(X) < d + 1:
         raise InvalidContainer("enumeration found too few vertices; polytope degenerate?")
     return X
+
+
+def _facet_duals(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Vertices of {lam >= 0 : A^T lam = 0, sum(lam) = 1}, the feasible set
+    of the facet program's LP dual, for unit-offset normals A that
+    positively span.
+
+    A vertex is a basic solution: the nonnegative solution of the square
+    system [A_S, 1]^T lam_S = e_{d+1} over some (d+1)-subset S of the rows
+    (``_square_solves``).  Entries down to -tol.feas count as zero; the
+    vertices are kept in subset order and deduplicated (``_first_unique``).
+    """
+    m, d = A.shape
+    rhs = np.zeros(d + 1)
+    rhs[d] = 1.0
+    found = []
+    for idx, lam in _square_solves(np.hstack([A, np.ones((m, 1))]), rhs, transpose=True):
+        ok = lam.min(axis=1) >= -tol.feas
+        L = np.zeros((int(ok.sum()), m))
+        np.put_along_axis(L, idx[ok], np.clip(lam[ok], 0.0, None), axis=1)
+        found.append(L)
+    L = _first_unique(np.concatenate(found) if found else np.zeros((0, m)), tol)
+    if not len(L):
+        raise InvalidContainer("facet normals admit no balancing weights: body unbounded")
+    return L

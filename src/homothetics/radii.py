@@ -1,12 +1,33 @@
-"""Core radii by certified enumeration, asymmetry, and the two witness
-checks that re-derive each radius through affine sections and cylinders.
+"""Core radii in closed form, asymmetry, and the two witness checks that
+re-derive each radius through affine sections and cylinders.
 
-The k-th core radius is the exact maximum of R(S, C) over subsets S of at
-most k+1 points.  Enumeration walks the subsets in lexicographic order
-with branch-and-bound pruning: a subset whose cheap upper bound (pairwise
-radius times a container-dependent factor) cannot beat the incumbent is
-skipped, so ties always resolve to the lexicographically smallest
-witness.
+The k-th core radius R_k(P, C) is the largest R(S, C) over subsets S of
+at most k+1 points.  ``core_radii`` evaluates it with no containment
+solve per subset wherever a closed form applies:
+
+- Euclidean ball: R_k is the largest circumradius over the affinely
+  independent faces F of P with |F| <= k+1 whose circumcenter has
+  nonnegative affine weights (the circumball of such a face is its
+  smallest ball, and the smallest ball of any set is the circumball of
+  such a support face).  The Gram systems of all faces are solved in
+  batches, each face size once for all k.
+- k = 1 on a symmetric polytope with facets: R({p, q}, C) is the gauge of
+  (p - q)/2, max_k a_k.(p - q)/2.
+- any polytope with facet duals (``Container.facet_duals``): by LP
+  duality of the facet program, R(S, C) is the largest lam.h(S) over the
+  vertices lam of Lambda(C), with h_k(S) = max_{p in S} a_k.p; each
+  (k+1)-subset costs one max and one matrix product.
+
+Only vertex-only containers beyond the facet budget, and facets whose
+duals are beyond it (e.g. the 5-cross-polytope), solve every
+(k+1)-subset, skipping, for symmetric containers, the subsets whose
+pair-radius bound cannot beat the incumbent.  Ties within 1e-12 relative
+of the maximum go to the lexicographically smallest subset.  The winner
+is re-solved with ``min_containment``, which must agree within tol.eq
+relative (``LpError`` otherwise) and gives the reported value.  A ball
+witness is the winning support face, so it can have fewer than k+1
+points; other winners are shrunk by ``_reduce_witness`` when they are
+affinely dependent.
 """
 
 from __future__ import annotations
@@ -14,10 +35,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .containment import _roundoff, make_certificate, min_containment, support_points
+from .containment import (
+    _check_dims,
+    _roundoff,
+    make_certificate,
+    min_containment,
+    support_points,
+)
 from .geometry import (
     DEFAULT_TOL,
     Container,
@@ -25,30 +53,40 @@ from .geometry import (
     InvalidContainer,
     PointSet,
     Tolerance,
+    gauge,
 )
+from .instances import _subset_chunks
 from .lp import LpError
 
 __all__ = [
     "CoreRadiusResult",
     "BudgetExceeded",
     "core_radius",
+    "core_radii",
     "minkowski_asymmetry",
     "intersection_radius_check",
     "cylinder_radius_check",
 ]
 
 DEFAULT_BUDGET = 2_000_000
+# values within _TIE relative of the maximum tie
+_TIE = 1e-12
+# a face is singular when det(Gram) is below _SINGULAR times the product
+# of the Gram diagonal, a ratio free of the data's scale; its affine
+# weights count as nonnegative down to -_WEIGHT_SLACK
+_SINGULAR = 1e-10
+_WEIGHT_SLACK = 1e-12
 
 
 class BudgetExceeded(RuntimeError):
-    """Subset enumeration would exceed the solve budget."""
+    """Subset enumeration would exceed the subset budget."""
 
 
 @dataclass(frozen=True)
 class CoreRadiusResult:
     k: int
     value: float
-    witness: tuple[int, ...]  # <= k+1 indices into P, see _reduce_witness
+    witness: tuple[int, ...]  # <= k+1 indices into P, see the module docstring
 
 
 def _affinely_independent(pts: np.ndarray, tol: Tolerance) -> bool:
@@ -78,34 +116,6 @@ def _reduce_witness(P: PointSet, C: Container, subset, value: float, tol: Tolera
     return tuple(sub)
 
 
-def _pair_radii(P: PointSet, C: Container, tol: Tolerance) -> np.ndarray:
-    """Matrix of two-point radii R({p_i, p_j}, C)."""
-    pts = P.points
-    n = len(P)
-    out = np.zeros((n, n))
-    if C.kind is ContainerKind.BALL:
-        diff = pts[:, None, :] - pts[None, :, :]
-        return 0.5 * np.linalg.norm(diff, axis=2)
-    if C.is_symmetric(tol) and C.facets is not None:
-        for i in range(n):
-            dots = C.facets @ (pts[i] - pts[i + 1 :]).T
-            out[i, i + 1 :] = 0.5 * np.clip(dots.max(axis=0), 0.0, None)
-        return out + out.T
-    for i, j in combinations(range(n), 2):
-        out[i, j] = out[j, i] = min_containment(P.subset([i, j]), C, tol).rho
-    return out
-
-
-def _subset_bound_factor(k: int, C: Container, tol: Tolerance) -> float:
-    # R(S) <= factor * R_1(S) for |S| = k+1: sqrt(2k/(k+1)) for the ball,
-    # min(2k/(k+1), k) for symmetric containers, k in general
-    if C.kind is ContainerKind.BALL:
-        return float(np.sqrt(2.0 * k / (k + 1.0)))
-    if C.is_symmetric(tol):
-        return min(2.0 * k / (k + 1.0), float(k))
-    return float(k)
-
-
 def core_radius(
     P: PointSet,
     C: Container,
@@ -113,77 +123,165 @@ def core_radius(
     tol: Tolerance = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
 ) -> CoreRadiusResult:
-    """Exact k-th core radius with a maximising witness subset."""
-    if not 1 <= k <= P.dim:
-        raise ValueError(f"k must be in [1, {P.dim}], got {k}")
-    n = len(P)
-    if k >= P.dim or n <= k + 1:
-        sol = min_containment(P, C, tol)
-        witness = support_points(P, C, sol, tol)
-        witness = _reduce_witness(P, C, witness, sol.rho, tol)
-        return CoreRadiusResult(k, sol.rho, witness)
+    """Exact k-th core radius with a maximising witness subset (see the
+    module docstring); ``BudgetExceeded`` when P has more than ``budget``
+    subsets of k+1 points."""
+    return next(core_radii(P, C, [k], tol, budget))
 
-    size = k + 1
-    if size == 2 and (
-        C.kind is ContainerKind.BALL or (C.facets is not None and C.is_symmetric(tol))
-    ):
-        return _best_pair(P, C, tol)
-    total = comb(n, size)
-    solves = 0
-    best_val = -np.inf
-    best_sub: tuple[int, ...] | None = None
 
-    use_pruning = total > 256
-    pair = _pair_radii(P, C, tol) if use_pruning else None
-    factor = _subset_bound_factor(k, C, tol) if use_pruning else 0.0
+def core_radii(
+    P: PointSet,
+    C: Container,
+    ks: Iterable[int],
+    tol: Tolerance = DEFAULT_TOL,
+    budget: int = DEFAULT_BUDGET,
+) -> Iterator[CoreRadiusResult]:
+    """``core_radius`` for each of the increasing orders ``ks``, lazily and
+    from one pass: the ball's faces of each size are solved once for all
+    orders.  ``BudgetExceeded`` is raised when an order is reached whose
+    (k+1)-subsets outnumber ``budget``, before any of its work."""
+    _check_dims(P, C)
+    n, last = len(P), 0
+    stairs: list = []  # ball faces, sizes 2..size
+    size = 1
+    for k in ks:
+        if not 1 <= k <= P.dim:
+            raise ValueError(f"k must be in [1, {P.dim}], got {k}")
+        if k <= last:
+            raise ValueError(f"orders must increase, got {k} after {last}")
+        last = k
+        if k == P.dim or n <= k + 1:
+            sol = min_containment(P, C, tol)
+            witness = _reduce_witness(P, C, support_points(P, C, sol, tol), sol.rho, tol)
+            yield CoreRadiusResult(k, sol.rho, witness)
+            continue
+        subsets = comb(n, k + 1)
+        if subsets > budget:
+            raise BudgetExceeded(f"core_radius: {subsets} subsets exceed the budget {budget}")
+        if C.kind is ContainerKind.BALL:
+            while size < k + 1:
+                size += 1
+                stairs += _staircase(_face_radii(P.points, size))
+            best = _pick(stairs)
+        elif k == 1 and C.facets is not None and C.is_symmetric(tol):
+            best = _pick(_staircase(_pair_values(P, C)))
+        elif C.facet_duals is not None:
+            best = _pick(_staircase(_dual_values(P, C, k + 1)))
+        else:
+            best = _pick(_staircase(_solved_values(P, C, k, tol)))
+        yield _proved(P, C, k, best, tol)
 
-    if use_pruning:
-        # seed the incumbent with a dispersion-greedy subset
+
+def _proved(P: PointSet, C: Container, k: int, best, tol: Tolerance) -> CoreRadiusResult:
+    """Re-solve the winning (subset, value); ``LpError`` when the solver
+    disagrees by more than tol.eq relative.  No winner means no ball face
+    is regular: the points coincide."""
+    if best is None:
+        return CoreRadiusResult(k, 0.0, (0,))
+    sub, value = best
+    sol = min_containment(P.subset(list(sub)), C, tol)
+    if abs(sol.rho - value) > max(tol.eq * sol.rho, _roundoff(sol.center)):
+        raise LpError(f"core radius of {sub}: closed form {value} vs solver {sol.rho}")
+    if C.kind is not ContainerKind.BALL:
+        sub = _reduce_witness(P, C, sub, sol.rho, tol)
+    return CoreRadiusResult(k, sol.rho, sub)
+
+
+# -- value streams: (subsets, values) per chunk, subsets in lex order ---------
+
+
+def _face_radii(X: np.ndarray, size: int):
+    """The faces of ``size`` rows of X that are affinely independent and
+    whose circumcenter has nonnegative affine weights, with their
+    circumradii: ``meb.circumball``'s Gram system, solved per chunk."""
+    for idx in _subset_chunks(len(X), size):
+        U = X[idx[:, 1:]] - X[idx[:, :1]]
+        gram = U @ U.transpose(0, 2, 1)
+        diag = np.einsum("cii->ci", gram)
+        scale = np.prod(diag, axis=1)
+        regular = (scale > 0) & (np.linalg.det(gram) > _SINGULAR * scale)
+        U = U[regular]
+        w = np.linalg.solve(gram[regular], 0.5 * diag[regular][..., None])[..., 0]
+        convex = (w.min(axis=1) >= -_WEIGHT_SLACK) & (w.sum(axis=1) <= 1.0 + _WEIGHT_SLACK)
+        offset = np.einsum("ci,cid->cd", w[convex], U[convex])
+        yield idx[regular][convex], np.sqrt(np.einsum("cd,cd->c", offset, offset))
+
+
+def _pair_values(P: PointSet, C: Container):
+    """R({p, q}, C) = max_k a_k.(p - q)/2 for a symmetric C with facets."""
+    for idx in _subset_chunks(len(P), 2):
+        diff = P.points[idx[:, 0]] - P.points[idx[:, 1]]
+        yield idx, 0.5 * np.clip((diff @ C.facets.T).max(axis=1), 0.0, None)
+
+
+def _dual_values(P: PointSet, C: Container, size: int):
+    """R(S, C) = max over the facet duals lam of lam.h(S), h_k(S) the
+    largest a_k.p over S, taken about the first point (lam.A = 0)."""
+    A, duals = C.facets, C.facet_duals
+    prods = (P.points - P.points[0]) @ A.T
+    for idx in _subset_chunks(len(P), size):
+        h = prods[idx[:, 0]]
+        for j in range(1, size):
+            h = np.maximum(h, prods[idx[:, j]])
+        yield idx, (h @ duals.T).max(axis=1)
+
+
+def _solved_values(P: PointSet, C: Container, k: int, tol: Tolerance):
+    """R(S, C) by one solve per (k+1)-subset.  For a symmetric container,
+    R(S) <= min(2k/(k+1), k) * max pair radius in S, so a subset whose
+    bound cannot beat the incumbent (seeded by a dispersion-greedy subset)
+    is skipped, with value -inf."""
+    n, size = len(P), k + 1
+    pair, incumbent = None, -np.inf
+    if C.is_symmetric(tol):
+        pair = np.zeros((n, n))
+        for i, j in combinations(range(n), 2):
+            pair[i, j] = pair[j, i] = gauge(C, 0.5 * (P.points[i] - P.points[j]), tol)
+        factor = min(2.0 * k / (k + 1.0), float(k))
         i0, j0 = np.unravel_index(int(np.argmax(pair)), pair.shape)
         seed = [int(i0), int(j0)]
         while len(seed) < size:
             rest = [p for p in range(n) if p not in seed]
             seed.append(max(rest, key=lambda p: (min(pair[p, s] for s in seed), -p)))
-        seed = sorted(seed)
-        val = min_containment(P.subset(seed), C, tol).rho
-        solves += 1
-        best_val = val - 1e-12 * max(1.0, val)  # equal-value subsets still win on lex order
-        best_sub = tuple(seed)
-
-    for sub in combinations(range(n), size):
-        if use_pruning:
-            r1 = max(pair[a, b] for a, b in combinations(sub, 2))
-            if factor * r1 <= best_val:
+        val = min_containment(P.subset(sorted(seed)), C, tol).rho
+        incumbent = val - _TIE * val  # equal-value subsets still win on lex order
+    for idx in _subset_chunks(n, size):
+        values = np.full(len(idx), -np.inf)
+        for row, sub in enumerate(idx):
+            if pair is not None and factor * pair[np.ix_(sub, sub)].max() <= incumbent:
                 continue
-        if solves >= budget:
-            raise BudgetExceeded(f"core_radius exceeded {budget} subset solves")
-        val = min_containment(P.subset(sub), C, tol).rho
-        solves += 1
-        if val > best_val:
-            best_val = val
-            best_sub = sub
-
-    assert best_sub is not None
-    value = min_containment(P.subset(best_sub), C, tol).rho
-    witness = _reduce_witness(P, C, best_sub, value, tol)
-    return CoreRadiusResult(k, value, witness)
+            values[row] = min_containment(P.subset(sub), C, tol).rho
+            incumbent = max(incumbent, values[row])
+        yield idx, values
 
 
-def _best_pair(P: PointSet, C: Container, tol: Tolerance) -> CoreRadiusResult:
-    """First core radius from the closed-form two-point radius
-    gauge((p-q)/2), valid for balls and symmetric containers; the winning
-    pair is re-solved to keep the reported value on the solver path."""
-    pair = _pair_radii(P, C, tol)
-    n = len(P)
-    best_val, best = -np.inf, (0, min(1, n - 1))
-    for i, j in combinations(range(n), 2):
-        if pair[i, j] > best_val:
-            best_val, best = pair[i, j], (i, j)
-    value = min_containment(P.subset(list(best)), C, tol).rho
-    if abs(value - best_val) > tol.eq * max(1.0, value):
-        raise LpError(f"pair radius mismatch: closed form {best_val} vs solver {value}")
-    witness = _reduce_witness(P, C, best, value, tol)
-    return CoreRadiusResult(1, value, witness)
+def _staircase(chunks) -> list[tuple[tuple[int, ...], float]]:
+    """Witness candidates of a stream of lexicographically ordered chunks
+    of (subsets, values): the subsets within _TIE of the running maximum
+    whose value beats every earlier candidate.  The lexicographically
+    smallest subset within _TIE of the stream's maximum is among them."""
+    top, stair = -np.inf, []
+    for idx, val in chunks:
+        if not val.size:
+            continue
+        top = max(top, float(val.max()))
+        floor = top - _TIE * abs(top)
+        stair = [(s, v) for s, v in stair if v >= floor]
+        keep = np.flatnonzero(val >= floor)
+        prev = stair[-1][1] if stair else -np.inf
+        run = np.maximum.accumulate(np.concatenate([[prev], val[keep]]))
+        for j in keep[val[keep] > run[:-1]]:
+            stair.append((tuple(int(i) for i in idx[j]), float(val[j])))
+    return stair
+
+
+def _pick(stair) -> tuple[tuple[int, ...], float] | None:
+    """The lexicographically smallest candidate within _TIE of the largest
+    value, as (subset, value); None without candidates."""
+    if not stair:
+        return None
+    top = max(v for _, v in stair)
+    return min((s, v) for s, v in stair if v >= top - _TIE * abs(top))
 
 
 def minkowski_asymmetry(C: Container, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -199,13 +297,15 @@ def minkowski_asymmetry(C: Container, tol: Tolerance = DEFAULT_TOL) -> float:
 
 
 def _orthonormal_rows(vectors: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Gram-Schmidt with column pivoting; rows below tol.pivot are dropped."""
+    """Gram-Schmidt with column pivoting; rows whose remainder is at most
+    tol.pivot times the longest input row are dropped."""
     vs = [v.astype(float) for v in np.atleast_2d(vectors)]
+    floor = tol.pivot * max(float(np.linalg.norm(v)) for v in vs)
     basis: list[np.ndarray] = []
     while vs:
         norms = [float(np.linalg.norm(v)) for v in vs]
         j = int(np.argmax(norms))
-        if norms[j] <= tol.pivot:
+        if norms[j] <= floor:
             break
         b = vs.pop(j) / norms[j]
         basis.append(b)
@@ -222,7 +322,10 @@ def intersection_radius_check(
 ) -> float:
     """R(P ∩ E, C) for E the witness subset's affine hull.
 
-    Equals the k-th core radius; callers assert the agreement.
+    A point lies on E when its distance from E is at most tol.feas times
+    the witness's spread (its largest distance from its first point), so
+    the test is free of the data's scale.  Equals the k-th core radius;
+    callers assert the agreement.
     """
     if core is None:
         core = core_radius(P, C, k, tol)
@@ -232,7 +335,8 @@ def intersection_radius_check(
     diffs = P.points - base
     proj = diffs @ B.T @ B if len(B) else np.zeros_like(diffs)
     dist = np.linalg.norm(diffs - proj, axis=1)
-    idx = np.nonzero(dist <= tol.feas)[0]
+    spread = float(np.max(np.linalg.norm(W - base, axis=1)))
+    idx = np.nonzero(dist <= tol.feas * spread)[0]
     return min_containment(P.subset(idx), C, tol).rho
 
 

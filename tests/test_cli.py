@@ -125,6 +125,39 @@ class TestSolverFailure:
         assert json.loads(err)["error"] == "LpError: certificate normals do not balance"
 
 
+class TestBudget:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["radii", "--k", "2", "--container", "ball"],
+            ["coreset", "--eps", "0.01", "--exact", "--container", "ball"],
+        ],
+    )
+    def test_budget_exceeded_exit_3(self, capsys, monkeypatch, argv):
+        # 16 points in R^4: C(16, k+1) = 120, 560, 1820 for k = 1, 2, 3
+        gen = ["gen", "random", "--dim", "4", "--n", "16", "--seed", "2"]
+        _, gen_out, _ = run_cli(capsys, gen)
+        code, out, err = run_cli(
+            capsys, [*argv, "--budget", "200"], stdin=gen_out, monkeypatch=monkeypatch
+        )
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"].startswith("BudgetExceeded: ")
+        code, out, _ = run_cli(
+            capsys, [*argv, "--budget", "2000"], stdin=gen_out, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert json.loads(out)
+
+    def test_ball_witness_is_json(self, capsys, monkeypatch):
+        _, gen_out, _ = run_cli(capsys, ["gen", "random", "--dim", "3", "--n", "9", "--seed", "3"])
+        code, out, _ = run_cli(
+            capsys, ["radii", "--k", "2", "--container", "ball"], stdin=gen_out, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert 2 <= len(json.loads(out)["witness"]) <= 3
+
+
 class TestRadiiCoresetAsym:
     def test_radii(self, capsys, monkeypatch):
         _, gen_out, _ = run_cli(capsys, ["gen", "regular-simplex", "--dim", "3"])

@@ -7,7 +7,7 @@ import pytest
 from homothetics import DEFAULT_TOL, Container, DimensionMismatch, PointSet, coresets, reflect
 from homothetics.containment import min_containment
 from homothetics.lp import LpError
-from homothetics.radii import core_radius
+from homothetics.radii import core_radii, core_radius
 from homothetics.coresets import (
     _find_covering_center,
     center_conformity_bound_check,
@@ -152,16 +152,16 @@ class TestOptimalSize:
 
     def test_top_radius_not_enumerated(self, monkeypatch):
         # R_d(P) = R(P): size d+1 is returned without a k = d core radius
-        ks = []
+        passes = []
 
-        def counting(P, C, k, *args, **kwargs):
-            ks.append(k)
-            return core_radius(P, C, k, *args, **kwargs)
+        def counting(P, C, ks, *args, **kwargs):
+            passes.append(list(ks))
+            return core_radii(P, C, passes[-1], *args, **kwargs)
 
-        monkeypatch.setattr(coresets, "core_radius", counting)
+        monkeypatch.setattr(coresets, "core_radii", counting)
         P, T = regular_simplex(3)
         assert optimal_coreset_size(P, reflect(T), 0.4) == 4
-        assert ks == [1, 2]
+        assert passes == [[1, 2]]  # one pass
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
@@ -264,3 +264,27 @@ class TestCenterConformityBound:
             P = random_pointset(40, 4, seed=700 + seed)
             cs = greedy_coreset(P, Container.ball(4), eps=0.35)
             assert center_conformity_bound_check(P, cs.indices, max(cs.eps_achieved, 1e-12))
+
+
+class TestScaleFree:
+    """Coverage slacks are relative to the radius, so answers do not
+    change with the data's scale."""
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e6])
+    def test_greedy_meets_eps(self, scale):
+        P = random_pointset(40, 3, seed=1).scale(scale)
+        cs = greedy_coreset(P, Container.ball(3), eps=0.1)
+        assert cs.eps_achieved <= 0.1
+        assert cs.indices == (0, 14, 29, 32)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_fixed_center_fails_at_every_scale(self, scale):
+        P = box_ambiguity_instance(3, 1.0).scale(scale)
+        box = standard_container("box", 3)
+        assert not validate_coreset(
+            P, box, [4, 5], 0.9, require_center_conform=True, fixed_center=True
+        )
+        assert validate_coreset(P, box, [4, 5], 0.0, require_center_conform=True)
+        radius = min_containment(P.subset([4, 5]), box).rho
+        assert _find_covering_center(P, box, [4, 5], radius, 0.0, DEFAULT_TOL) is not None
+        assert _find_covering_center(P, box, [4, 5], 0.9 * radius, 0.0, DEFAULT_TOL) is None

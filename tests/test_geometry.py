@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homothetics import (
+    DEFAULT_TOL,
     Container,
     ContainerKind,
     DimensionMismatch,
@@ -21,7 +22,12 @@ from homothetics import (
     support,
 )
 from homothetics.geometry import _same_point_set
-from homothetics.instances import regular_simplex, simplex_cap_neg, standard_container
+from homothetics.instances import (
+    regular_simplex,
+    simplex_cap_neg,
+    standard_container,
+    symmetric_counterexample,
+)
 
 
 def box2():
@@ -198,8 +204,6 @@ class TestJson:
 class TestDerivedFacets:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_match_given_normals(self, d):
-        from homothetics.instances import symmetric_counterexample
-
         for C in (
             standard_container("box", d),
             standard_container("cross", d),
@@ -249,3 +253,76 @@ class TestDerivedFacets:
             assert not t.is_alive()
         assert np.array_equal(out[0], out[1])
         assert _same_point_set(out[0], np.vstack([np.eye(4), -np.eye(4)]), 1e-12)
+
+
+def _difference_body(d):
+    X = regular_simplex(d)[0].points
+    diffs = [x - y for x in X for y in X if not np.array_equal(x, y)]
+    return Container.from_vertices(np.array(diffs))
+
+
+_DUAL_BODIES = {
+    "box": lambda d: standard_container("box", d),
+    "cross": lambda d: standard_container("cross", d),
+    "negT": lambda d: reflect(regular_simplex(d)[1]),
+    "cap": simplex_cap_neg,
+    "prism": lambda d: symmetric_counterexample(d, 2),
+    "T-T": _difference_body,
+}
+_BODY_CACHE: dict = {}
+
+
+def _dual_body(name, d):
+    if (name, d) not in _BODY_CACHE:
+        _BODY_CACHE[name, d] = _DUAL_BODIES[name](d)
+    return _BODY_CACHE[name, d]
+
+
+class TestFacetDuals:
+    """Container.facet_duals: the vertices of Lambda(C) = {lam >= 0 :
+    A^T lam = 0, sum(lam) = 1} over the facets A."""
+
+    @pytest.mark.parametrize(
+        "name, d, count",
+        [("box", 4, 4), ("negT", 4, 1), ("cap", 3, 6), ("cap", 4, 7), ("cap", 5, 8),
+         ("cross", 3, 6), ("cross", 4, 48)],
+    )
+    def test_vertex_counts(self, name, d, count):
+        L = _dual_body(name, d).facet_duals
+        assert L.shape == (count, len(_dual_body(name, d).facets))
+        assert L.min() >= 0.0
+        assert np.allclose(L.sum(axis=1), 1.0, atol=1e-12)
+        assert np.abs(L @ _dual_body(name, d).facets).max() <= 1e-12
+
+    def test_none_without_facets_or_beyond_budget(self):
+        assert Container.ball(3).facet_duals is None
+        corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * 6), indexing="ij")).reshape(6, -1).T
+        assert Container.from_vertices(corners).facet_duals is None  # no facets
+        # the 5-cross-polytope's 32 facets have C(32, 6) = 906 192 6-subsets
+        assert standard_container("cross", 5).facet_duals is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(sorted(_DUAL_BODIES)),
+        st.integers(2, 5),
+        st.integers(0, 2**32 - 1),
+        st.floats(-3.0, 3.0),
+    )
+    @example("T-T", 4, 0, 0.0)  # 30 facets, C(30, 5) = 142 506 subsets
+    @example("T-T", 5, 0, 0.0)  # 62 facets: beyond the budget
+    @example("prism", 5, 1, -3.0)
+    def test_max_over_vertices_is_the_facet_program(self, name, d, seed, log_scale):
+        from math import comb
+
+        from homothetics.containment import _facet_program
+        from homothetics.instances import FACETS_MAX_SUBSETS
+
+        C = _dual_body(name, d)
+        A = C.facets
+        if C.facet_duals is None:
+            assert comb(len(A), d + 1) > FACETS_MAX_SUBSETS  # only beyond the budget
+            return
+        scale = 10.0**log_scale
+        h = np.random.default_rng(seed).standard_normal(len(A)) * scale
+        t, _, _ = _facet_program(A, h, DEFAULT_TOL)
+        assert float((C.facet_duals @ h).max()) == pytest.approx(t, rel=1e-9, abs=1e-9 * scale)

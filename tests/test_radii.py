@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -119,7 +121,10 @@ class TestPairRadii:
         assert via_v.value == pytest.approx(via_h.value, abs=1e-12)
         assert via_v.witness == via_h.witness
 
-    def test_symmetric_v_form_pair_matrix_is_vectorised(self, monkeypatch):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_closed_forms_take_one_solve(self, k, monkeypatch):
+        # pair gauges (symmetric V- and H-form box) and facet duals (the
+        # non-symmetric -T, and k = 2) solve only the winning subset
         calls = []
 
         def counting(*args, **kwargs):
@@ -129,12 +134,14 @@ class TestPairRadii:
         monkeypatch.setattr(radii, "min_containment", counting)
         box = standard_container("box", 3)
         P = random_pointset(12, 3, seed=137)
-        pair = radii._pair_radii(P, Container.from_vertices(box.vertices), DEFAULT_TOL)
-        assert calls == []
-        assert np.allclose(pair, radii._pair_radii(P, box, DEFAULT_TOL), atol=1e-12)
-        # a non-symmetric container still solves each pair: the patch is live
-        radii._pair_radii(P.subset(range(3)), reflect(regular_simplex(3)[1]), DEFAULT_TOL)
-        assert len(calls) == 3
+        for C in (Container.from_vertices(box.vertices), box, reflect(regular_simplex(3)[1])):
+            calls.clear()
+            res = core_radius(P, C, k)
+            assert calls == [1]
+            assert res.value == pytest.approx(
+                max(min_containment(P.subset(s), C).rho for s in combinations(range(12), k + 1)),
+                rel=1e-9,
+            )
 
 
 class TestAsymmetry:
@@ -300,3 +307,128 @@ class TestCylinderCheck:
     def test_coincident_points_have_radius_zero(self):
         P = PointSet(np.full((3, 2), 1e9))
         assert cylinder_radius_check(P, Container.ball(2), 1) == 0.0
+
+
+def _brute_force(P, C, k):
+    size = min(k + 1, len(P))
+    return max(min_containment(P.subset(s), C).rho for s in combinations(range(len(P)), size))
+
+
+def _ball_inputs(kind, n, d, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "generic":
+        return rng.standard_normal((n, d))
+    if kind == "collinear":
+        return np.outer(rng.standard_normal(n), rng.standard_normal(d)) + rng.standard_normal(d)
+    if kind == "coincident":
+        return np.tile(rng.standard_normal(d), (n, 1))
+    if kind == "duplicated":
+        X = rng.standard_normal((max(2, n // 2), d))
+        return X[rng.integers(0, len(X), n)]
+    if kind == "polygon":  # co-circular, right angles included when n is even
+        phi = 2 * np.pi * np.arange(n) / n
+        X = np.zeros((n, d))
+        X[:, 0], X[:, 1] = np.cos(phi), np.sin(phi)
+        return X
+    raw = rng.standard_normal((n, d))  # co-spherical
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+class TestBallFacePass:
+    """The ball's closed form, the largest circumradius over faces with
+    nonnegative weights, against the definition."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["generic", "collinear", "coincident", "duplicated", "polygon", "sphere"]),
+        st.integers(3, 8),
+        st.integers(2, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @example("polygon", 8, 2, 0)
+    @example("duplicated", 8, 3, 1)
+    @example("collinear", 6, 3, 2)
+    def test_matches_brute_force(self, kind, n, d, seed):
+        P = PointSet(_ball_inputs(kind, n, d, seed))
+        C = Container.ball(d)
+        for res in radii.core_radii(P, C, range(1, d + 1)):
+            assert res.value == pytest.approx(_brute_force(P, C, res.k), rel=1e-9, abs=1e-12)
+            assert len(res.witness) <= res.k + 1
+            assert all(type(i) is int for i in res.witness)
+            assert affinely_independent(P.points[list(res.witness)])
+            assert min_containment(P.subset(list(res.witness)), C).rho == pytest.approx(
+                res.value, rel=1e-9, abs=1e-12
+            )
+
+    def test_support_face_can_be_smaller_than_k_plus_one(self):
+        # an obtuse triangle's smallest ball is its longest edge's
+        P = PointSet([[0.0, 0.0], [4.0, 0.0], [2.0, 0.5], [2.0, -0.4]])
+        res = core_radius(P, Container.ball(2), 2)
+        assert res.witness == (0, 1)
+        assert res.value == pytest.approx(2.0, rel=1e-12)
+
+
+class TestCoreRadii:
+    @pytest.mark.parametrize("tag", ["ball", "negT", "cap"])
+    def test_one_pass_matches_single_orders(self, tag):
+        P = random_pointset(9, 4, seed=31)
+        C = {
+            "ball": Container.ball(4),
+            "negT": reflect(regular_simplex(4)[1]),
+            "cap": simplex_cap_neg(4),
+        }[tag]
+        one_pass = list(radii.core_radii(P, C, [1, 2, 3, 4]))
+        assert one_pass == [core_radius(P, C, k) for k in (1, 2, 3, 4)]
+
+    def test_orders_must_increase(self):
+        P = random_pointset(6, 3, seed=1)
+        with pytest.raises(ValueError):
+            list(radii.core_radii(P, Container.ball(3), [2, 1]))
+
+    def test_budget_checked_when_an_order_is_reached(self):
+        # C(16, 2) = 120 pairs fit the budget, C(16, 3) = 560 triples do not
+        P = random_pointset(16, 4, seed=2)
+        orders = radii.core_radii(P, Container.ball(4), [1, 2], budget=200)
+        assert next(orders).k == 1
+        with pytest.raises(BudgetExceeded):
+            next(orders)
+
+
+class TestSubsetLoop:
+    """Containers without facet duals within budget solve every subset."""
+
+    def test_vertex_only_six_cube_matches_its_facets(self):
+        corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * 6), indexing="ij")).reshape(6, -1).T
+        cube = Container.from_vertices(corners)
+        assert cube.facets is None
+        P = random_pointset(7, 6, seed=41)
+        loop = core_radius(P, cube, 2)
+        closed = core_radius(P, standard_container("box", 6), 2)
+        assert loop.value == pytest.approx(closed.value, rel=1e-9)
+        assert loop.witness == closed.witness
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_pruned_loop_on_the_five_cross_polytope(self, k):
+        C = standard_container("cross", 5)
+        assert C.facet_duals is None  # C(32, 6) = 906 192 subsets
+        P = random_pointset(11, 5, seed=43, distribution="gauss")
+        res = core_radius(P, C, k)
+        values = {s: min_containment(P.subset(s), C).rho for s in combinations(range(11), k + 1)}
+        top = max(values.values())
+        assert res.value == pytest.approx(top, rel=1e-9)
+        first = min(s for s, v in values.items() if v >= top * (1 - 1e-12))
+        assert res.witness == _reduced(P, C, first)
+
+
+def _reduced(P, C, subset):
+    value = min_containment(P.subset(subset), C).rho
+    return radii._reduce_witness(P, C, subset, value, DEFAULT_TOL)
+
+
+class TestScaleFreeChecks:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_intersection_check_at_small_scale(self, k):
+        P = random_pointset(8, 3, seed=5, distribution="gauss").scale(1e-8)
+        C = Container.ball(3)
+        core = core_radius(P, C, k)
+        assert intersection_radius_check(P, C, k, core=core) == pytest.approx(core.value, rel=1e-9)
