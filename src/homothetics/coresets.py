@@ -122,14 +122,15 @@ def optimal_coreset_size(
     budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Exact minimum size of an eps-core-set: smallest k+1 with
-    R(P) <= (1+eps) R_k(P), reading R_1, R_2, ... from one ``core_radii``
-    pass until one qualifies.  R_d(P) is R(P) itself, so k = d (size d+1)
-    always qualifies and is not computed."""
+    R(P) <= (1+eps) R_k(P), within tol.eq relative to R(P), reading R_1,
+    R_2, ... from one ``core_radii`` pass until one qualifies.  R_d(P) is
+    R(P) itself, so k = d (size d+1) always qualifies and is not
+    computed."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     full = min_containment(P, C, tol).rho
     for core in core_radii(P, C, range(1, P.dim), tol, budget):
-        if full <= (1.0 + eps) * core.value + tol.eq:
+        if full <= (1.0 + eps) * core.value + tol.eq * full:
             return core.k + 1
     return P.dim + 1
 
@@ -148,16 +149,17 @@ def validate_coreset(
     With ``require_center_conform`` the validator searches the full set of
     centers of S for one covering P at (1+eps) R(S); ``fixed_center``
     instead commits to the solver's center for S, reproducing the failure
-    mode of ambiguous centers.  Coverage allows the gauge slack of
-    ``containment``, tol.feas relative to (1+eps) R(S), so the answer is
-    free of the data's scale.
+    mode of ambiguous centers.  The core-set inequality allows tol.eq
+    relative to R(P), and coverage the gauge slack of ``containment``,
+    tol.feas relative to (1+eps) R(S), so the answer is free of the data's
+    scale.
     """
     idx = sorted(int(i) for i in indices)
     if not idx or not set(idx) <= set(range(len(P))):
         raise ValueError("core-set indices must be a nonempty subset of P")
     sub = min_containment(P.subset(idx), C, tol)
     full = min_containment(P, C, tol).rho
-    if full > (1.0 + eps) * sub.rho + tol.eq:
+    if full > (1.0 + eps) * sub.rho + tol.eq * full:
         return False
     if not require_center_conform:
         return True
@@ -199,13 +201,13 @@ def center_conformity_bound_check(
     P: PointSet, indices, eps: float, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
     """Euclidean promotion of a plain eps-core-set: its unique ball center
-    covers P at factor 1 + eps + sqrt(2 eps + eps^2) of R(S)."""
+    covers P at factor 1 + eps + sqrt(2 eps + eps^2) of R(S), within the
+    gauge slack of ``containment``."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     idx = sorted(int(i) for i in indices)
     C = Container.ball(P.dim)
     sub = min_containment(P.subset(idx), C, tol)
-    factor = 1.0 + eps + np.sqrt(2.0 * eps + eps * eps)
-    allowed = factor * sub.rho
-    worst = max(np.linalg.norm(p - sub.center) for p in P.points)
-    return worst <= allowed + tol.feas * max(1.0, allowed)
+    allowed = (1.0 + eps + np.sqrt(2.0 * eps + eps * eps)) * sub.rho
+    worst = float(np.max(all_gauges(P, C, sub.center, tol)))
+    return worst <= allowed + _slack(allowed, sub.center, tol)

@@ -276,35 +276,18 @@ def _same_point_set(a: np.ndarray, b: np.ndarray, radius: float) -> bool:
 def _positively_spans(generators: np.ndarray, tol: Tolerance) -> bool:
     """True iff 0 is in the relative interior of conv(generators) and the
     generators affinely span the full space (equivalently: every direction
-    has a generator with positive dot product)."""
-    from .lp import LinearProgram, LpStatus, solve_lp
+    has a generator with positive dot product).
 
+    The largest min_i lam_i over lam >= 0 with sum(lam_i g_i) = 0 and
+    sum(lam) = 1 is 1/(m + V), with V the gauge of -sum(g_i) in conv(g)
+    (write lam_i = t + mu_i); the generators span when it exceeds
+    tol.pivot.
+    """
     g = np.asarray(generators, dtype=float)
     m, d = g.shape
     if np.linalg.matrix_rank(g, tol=1e-10 * max(1.0, float(np.abs(g).max()))) < d:
         return False
-    # max t  s.t.  sum lam_i g_i = 0, sum lam_i = 1, lam_i >= t
-    nvar = m + 1
-    lhs_eq = np.hstack([g.T, np.zeros((d, 1))])
-    rows = [lhs_eq, np.hstack([np.ones((1, m)), np.zeros((1, 1))])]
-    rels = ["="] * (d + 1)
-    rhs = [0.0] * d + [1.0]
-    ineq = np.hstack([-np.eye(m), np.ones((m, 1))])  # t - lam_i <= 0
-    rows.append(ineq)
-    rels += ["<="] * m
-    rhs += [0.0] * m
-    obj = np.zeros(nvar)
-    obj[-1] = 1.0
-    lp = LinearProgram.new(
-        objective=obj,
-        lhs=np.vstack(rows),
-        relations=rels,
-        rhs=np.array(rhs),
-        lower=np.concatenate([np.zeros(m), [-np.inf]]),
-        maximize=True,
-    )
-    res = solve_lp(lp, tol)
-    return res.status is LpStatus.OPTIMAL and res.value > tol.pivot
+    return _gauge_vpoly(g, -g.sum(axis=0), tol)[0] < 1.0 / tol.pivot - m
 
 
 def _validate_container(c: Container) -> None:
@@ -339,8 +322,8 @@ def gauge(container: Container, x, tol: Tolerance = DEFAULT_TOL) -> float:
     """Least rho >= 0 with x in rho * container.
 
     Polytope with facets: max_k a_k.x clamped below at zero.  Ball:
-    Euclidean norm.  Vertex-only form beyond the facet budget: a one-point
-    containment LP.
+    Euclidean norm.  Vertex-only form beyond the facet budget: the polar
+    program of ``_gauge_vpoly``.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != container.dim:
@@ -355,28 +338,18 @@ def gauge(container: Container, x, tol: Tolerance = DEFAULT_TOL) -> float:
 
 def _gauge_vpoly(vertices: np.ndarray, x: np.ndarray, tol: Tolerance):
     """Gauge of x in conv(vertices) and a supporting normal a of the
-    polar (a.v_j <= 1 for every vertex, a.x = gauge) from the LP duals."""
-    # min rho  s.t.  sum_j mu_j v_j = x, sum_j mu_j = rho, mu >= 0
-    from .lp import LinearProgram, LpError, LpStatus, solve_lp
+    polar (a.v_j <= 1 for every vertex, a.x = gauge), from the polar
+    program max a.x s.t. a.v_j <= 1.  Its right-hand sides are all one,
+    so it starts from the slack basis a = 0 and ends optimal or
+    unbounded; unbounded means x lies outside the cone of the vertices,
+    where the gauge is inf and there is no normal."""
+    from .lp import LinearProgram, LpStatus, solve_lp
 
-    m, d = vertices.shape
-    lhs = np.zeros((d + 1, m + 1))
-    lhs[:d, :m] = vertices.T
-    lhs[d, :m] = 1.0
-    lhs[d, m] = -1.0
-    obj = np.zeros(m + 1)
-    obj[m] = 1.0
-    lp = LinearProgram.new(
-        objective=obj,
-        lhs=lhs,
-        relations=["="] * (d + 1),
-        rhs=np.concatenate([x, [0.0]]),
-        lower=np.zeros(m + 1),
-    )
-    res = solve_lp(lp, tol)
-    if res.status is not LpStatus.OPTIMAL:
-        raise LpError(f"one-point containment LP ended {res.status}")
-    return max(0.0, res.value), res.dual[:d]
+    m, _ = vertices.shape
+    res = solve_lp(LinearProgram.new(-x, vertices, ["<="] * m, np.ones(m)), tol)
+    if res.status is LpStatus.UNBOUNDED:
+        return np.inf, None
+    return max(0.0, -res.value), res.primal
 
 
 def support(container: Container, direction) -> float:

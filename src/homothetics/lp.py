@@ -4,10 +4,10 @@ The pivot rule is Dantzig's (most negative reduced cost, smallest column
 index on ties) with a switch to Bland's rule once the objective stalls,
 so every solve is deterministic and cycling-free.  Problems are converted
 to standard equality form internally; duals are mapped back to the
-original rows with the convention
-
-    minimisation:  "<=" rows have duals <= 0, "=" rows are free,
-    maximisation:  signs flipped.
+original rows with the convention that "<=" rows have duals <= 0 and
+"=" rows are free.  A program whose rows are all "<=" with nonnegative
+right-hand sides starts from its slack basis; only "=" rows, or "<="
+rows with negative right-hand sides, need phase 1.
 
 A numerical failure (no acceptable pivot, singular basis) raises
 ``LpError`` rather than returning a wrong answer.
@@ -49,26 +49,20 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min (or max) objective.x  s.t.  lhs x (<=|=) rhs, lower <= x <= upper."""
+    """min objective.x  s.t.  lhs x (<=|=) rhs,  x >= lower.
+
+    ``lower`` is -inf for a free variable (the default).  Maximise by
+    negating the objective; bound a variable from above by a "<=" row.
+    """
 
     objective: np.ndarray
     lhs: np.ndarray
     relations: tuple[str, ...]
     rhs: np.ndarray
     lower: np.ndarray
-    upper: np.ndarray
-    maximize: bool = False
 
     @staticmethod
-    def new(
-        objective,
-        lhs,
-        relations: Sequence[str],
-        rhs,
-        lower=None,
-        upper=None,
-        maximize: bool = False,
-    ) -> "LinearProgram":
+    def new(objective, lhs, relations: Sequence[str], rhs, lower=None) -> "LinearProgram":
         objective = np.asarray(objective, dtype=float).ravel()
         lhs = np.atleast_2d(np.asarray(lhs, dtype=float))
         rhs = np.asarray(rhs, dtype=float).ravel()
@@ -79,15 +73,12 @@ class LinearProgram:
         if len(relations) != rhs.shape[0] or any(r not in ("<=", "=") for r in relations):
             raise ValueError("relations must be '<=' or '=' rows matching rhs")
         lower = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float).ravel()
-        upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float).ravel()
-        if lower.shape != (n,) or upper.shape != (n,):
+        if lower.shape != (n,):
             raise ValueError("bounds must match the variable count")
         for a in (objective, lhs, rhs):
             if not np.all(np.isfinite(a)):
                 raise ValueError("objective/lhs/rhs must be finite")
-        if np.any(lower > upper):
-            raise ValueError("lower bound exceeds upper bound")
-        return LinearProgram(objective, lhs, relations, rhs, lower, upper, maximize)
+        return LinearProgram(objective, lhs, relations, rhs, lower)
 
 
 class LpResult(NamedTuple):
@@ -103,60 +94,38 @@ class _Standard(NamedTuple):
     c: np.ndarray
     col_var: list[tuple[int, float]]  # structural col -> (orig var, sign)
     var_fixed: np.ndarray  # additive shift per original variable
-    row_flip: np.ndarray  # +1/-1 per standardized row
-    n_rows_orig: int
+    row_flip: np.ndarray  # +1/-1 per row
     slack_plus: np.ndarray  # slack col with +1 coefficient per row, -1 if none
 
 
 def _standardize(lp: LinearProgram) -> _Standard:
     """Rewrite as min c.z, A z = b, z >= 0, b >= 0.
 
-    Bounds are realised by shifting / splitting variables; a finite upper
-    bound on a lower-bounded variable becomes an extra '<=' row.
+    A bounded variable is shifted to its lower bound, a free one split.
     """
-    c0 = -lp.objective if lp.maximize else lp.objective
-    m0, n0 = lp.lhs.shape
+    m, n0 = lp.lhs.shape
 
     cols: list[np.ndarray] = []
     ccoef: list[float] = []
     col_var: list[tuple[int, float]] = []
     var_fixed = np.zeros(n0)
-    upper_rows: list[tuple[int, float]] = []  # (structural col, bound)
 
     for j in range(n0):
-        lo, hi = lp.lower[j], lp.upper[j]
-        a_j = lp.lhs[:, j]
-        if np.isfinite(lo):
-            cols.append(a_j)  # x = lo + z
-            ccoef.append(c0[j])
-            col_var.append((j, 1.0))
-            var_fixed[j] = lo
-            if np.isfinite(hi):
-                upper_rows.append((len(cols) - 1, hi - lo))
-        elif np.isfinite(hi):
-            cols.append(-a_j)  # x = hi - z
-            ccoef.append(-c0[j])
-            col_var.append((j, -1.0))
-            var_fixed[j] = hi
+        a_j, c_j = lp.lhs[:, j], lp.objective[j]
+        cols.append(a_j)
+        ccoef.append(c_j)
+        col_var.append((j, 1.0))
+        if np.isfinite(lp.lower[j]):
+            var_fixed[j] = lp.lower[j]  # x = lo + z
         else:
-            cols.append(a_j)  # x = z+ - z-
-            ccoef.append(c0[j])
-            col_var.append((j, 1.0))
-            cols.append(-a_j)
-            ccoef.append(-c0[j])
+            cols.append(-a_j)  # x = z+ - z-
+            ccoef.append(-c_j)
             col_var.append((j, -1.0))
 
     n_struct = len(cols)
-    A = np.column_stack(cols) if n_struct else np.zeros((m0, 0))
+    A = np.column_stack(cols) if n_struct else np.zeros((m, 0))
     b = lp.rhs - lp.lhs @ var_fixed
     rel = list(lp.relations)
-    for col_idx, bound in upper_rows:
-        row = np.zeros(n_struct)
-        row[col_idx] = 1.0
-        A = np.vstack([A, row])
-        b = np.append(b, bound)
-        rel.append("<=")
-    m = A.shape[0]
 
     row_flip = np.ones(m)
     for i in range(m):
@@ -179,7 +148,7 @@ def _standardize(lp: LinearProgram) -> _Standard:
     if slack_cols:
         A = np.hstack([A, np.column_stack(slack_cols)])
     c = np.concatenate([np.array(ccoef), np.zeros(len(slack_cols))])
-    return _Standard(A, b, c, col_var, var_fixed, row_flip, m0, slack_plus)
+    return _Standard(A, b, c, col_var, var_fixed, row_flip, slack_plus)
 
 
 def _simplex_iterate(
@@ -198,6 +167,7 @@ def _simplex_iterate(
     last_val = np.inf
     max_iter = 2000 + 60 * (m + n)
     opt_tol = 10.0 * tol.pivot
+    drop = tol.pivot * max(1.0, float(np.abs(b).max(initial=1.0)))
 
     for it in range(max_iter):
         if it and it % _REFACTOR_EVERY == 0:
@@ -216,9 +186,10 @@ def _simplex_iterate(
         pos = np.where(w > tol.pivot)[0]
         if pos.size == 0:
             return "unbounded", basis, y
+        # Harris's ratio test: a row may leave when its ratio is at most
+        # min_i (xB_i + drop) / w_i, so no basic variable falls below -drop
         ratios = xB[pos] / w[pos]
-        rmin = float(np.min(ratios))
-        ties = pos[ratios <= rmin + tol.pivot * max(1.0, abs(rmin))]
+        ties = pos[ratios <= np.min((xB[pos] + drop) / w[pos])]
         leave_row = int(ties[np.argmin(basis[ties])])  # smallest index: anti-cycling
         piv = w[leave_row]
         if abs(piv) < tol.pivot:
@@ -317,15 +288,14 @@ def solve_lp(lp: LinearProgram, tol: Tolerance = DEFAULT_TOL) -> LpResult:
     """
     std = _standardize(lp)
     A, b, basis, keep, farkas = _phase1(std, tol)
-    m_std = std.A.shape[0]
+    m = std.A.shape[0]
 
     if farkas is not None:
-        dual = _map_duals(farkas[:m_std], std, lp)
-        return LpResult(LpStatus.INFEASIBLE, np.inf if not lp.maximize else -np.inf, None, dual)
+        return LpResult(LpStatus.INFEASIBLE, np.inf, None, farkas * std.row_flip)
 
     status, basis, y = _simplex_iterate(A, b, std.c, basis, tol)
     if status == "unbounded":
-        return LpResult(LpStatus.UNBOUNDED, -np.inf if not lp.maximize else np.inf, None, None)
+        return LpResult(LpStatus.UNBOUNDED, -np.inf, None, None)
 
     B_inv = np.linalg.inv(A[:, basis])
     zB = B_inv @ b
@@ -336,9 +306,8 @@ def solve_lp(lp: LinearProgram, tol: Tolerance = DEFAULT_TOL) -> LpResult:
 
     x = _recover_primal(z, std, lp)
     value = float(lp.objective @ x)
-    y_full = np.zeros(m_std)
-    y_full[keep] = y
-    dual = _map_duals(y_full, std, lp)
+    dual = np.zeros(m)
+    dual[keep] = y * std.row_flip[keep]
     _verify_optimal(lp, x, dual, tol)
     return LpResult(LpStatus.OPTIMAL, value, x, dual)
 
@@ -348,13 +317,6 @@ def _recover_primal(z: np.ndarray, std: _Standard, lp: LinearProgram) -> np.ndar
     for col, (j, sgn) in enumerate(std.col_var):
         x[j] += sgn * z[col]
     return x
-
-
-def _map_duals(y_std: np.ndarray, std: _Standard, lp: LinearProgram) -> np.ndarray:
-    dual = y_std[: std.n_rows_orig] * std.row_flip[: std.n_rows_orig]
-    if lp.maximize:
-        dual = -dual
-    return dual
 
 
 def _verify_optimal(lp: LinearProgram, x: np.ndarray, dual: np.ndarray, tol: Tolerance) -> None:
@@ -370,9 +332,7 @@ def _verify_optimal(lp: LinearProgram, x: np.ndarray, dual: np.ndarray, tol: Tol
             slack = -resid[i]
             if abs(dual[i]) > tol.eq and slack > 1e3 * tol.feas * scale:
                 raise LpError(f"complementary slackness broken on row {i}")
-    lo_viol = float(np.max(np.maximum(lp.lower - x, 0.0), initial=0.0))
-    hi_viol = float(np.max(np.maximum(x - lp.upper, 0.0), initial=0.0))
-    if max(lo_viol, hi_viol) > 1e3 * tol.feas * scale:
+    if float(np.max(lp.lower - x, initial=0.0)) > 1e3 * tol.feas * scale:
         raise LpError("variable bound violated at optimum")
 
 

@@ -288,3 +288,15 @@ class TestScaleFree:
         radius = min_containment(P.subset([4, 5]), box).rho
         assert _find_covering_center(P, box, [4, 5], radius, 0.0, DEFAULT_TOL) is not None
         assert _find_covering_center(P, box, [4, 5], 0.9 * radius, 0.0, DEFAULT_TOL) is None
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0])
+    def test_core_set_inequality(self, scale):
+        P = random_pointset(10, 3, seed=400).scale(scale)
+        ball = Container.ball(3)
+        assert optimal_coreset_size(P, ball, 0.0) == 3
+        assert not validate_coreset(P, ball, [0, 1], 0.0)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0])
+    def test_center_conformity_bound(self, scale):
+        P = random_pointset(30, 3, seed=3).scale(scale)
+        assert not center_conformity_bound_check(P, [0, 1], 0.0)

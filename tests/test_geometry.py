@@ -21,10 +21,11 @@ from homothetics import (
     reflect,
     support,
 )
-from homothetics.geometry import _same_point_set
+from homothetics.geometry import _gauge_vpoly, _positively_spans, _same_point_set
 from homothetics.instances import (
     regular_simplex,
     simplex_cap_neg,
+    simplex_vertices,
     standard_container,
     symmetric_counterexample,
 )
@@ -101,6 +102,41 @@ class TestContainerValidation:
         with pytest.raises(InvalidContainer):
             Container.from_halfspaces([[1.0], [-1.0]], [1.0, 0.0])
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 10),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["random", "spanning", "duplicate", "drop", "shift", "rank"]),
+    )
+    def test_positive_span_matches_max_min_weight(self, d, m, seed, mode):
+        # oracle: full rank, and max_{lam >= 0, G^T lam = 0, sum lam = 1} min_i lam_i
+        # exceeds tol.pivot
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(seed)
+        G = np.round(rng.uniform(-1, 1, (m, d)), 2)
+        if mode != "random":
+            G = np.vstack([simplex_vertices(d), G])[: max(m, d + 1)]
+        if mode == "duplicate":
+            G = np.vstack([G, G[rng.integers(0, len(G), 2)]])
+        elif mode == "drop":
+            G = np.delete(G, rng.integers(0, len(G)), axis=0)
+        elif mode == "shift":
+            G = G + np.round(rng.uniform(-0.5, 0.5, d), 2)
+        elif mode == "rank":
+            G[:, -1] = G[:, 0] if d > 1 else 0.0
+        k = len(G)
+        lhs = np.vstack([np.hstack([G.T, np.zeros((d, 1))]), np.r_[np.ones(k), 0.0]])
+        ref = scipy_opt.linprog(
+            np.r_[np.zeros(k), -1.0], A_ub=np.hstack([-np.eye(k), np.ones((k, 1))]),
+            b_ub=np.zeros(k), A_eq=lhs, b_eq=np.r_[np.zeros(d), 1.0],
+            bounds=[(0, None)] * k + [(None, None)], method="highs",
+        )
+        spans = (
+            np.linalg.matrix_rank(G) == d and ref.status == 0 and -ref.fun > DEFAULT_TOL.pivot
+        )
+        assert _positively_spans(G, DEFAULT_TOL) == spans
+
 
 class TestGauge:
     def test_box_gauge(self):
@@ -129,6 +165,25 @@ class TestGauge:
     def test_positive_homogeneity(self, x, rho):
         c = box2()
         assert gauge(c, np.multiply(rho, x)) == pytest.approx(rho * gauge(c, x), abs=1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["box", "cross", "negT", "cap"]),
+        st.integers(2, 5),
+        st.integers(0, 2**32 - 1),
+        st.floats(-3.0, 3.0),
+    )
+    def test_polar_program_is_the_facet_gauge(self, name, d, seed, log_scale):
+        C = _dual_body(name, d)
+        x = np.random.default_rng(seed).standard_normal(d) * 10.0**log_scale
+        value, a = _gauge_vpoly(C.vertices, x, DEFAULT_TOL)
+        expected = max(0.0, float(np.max(C.facets @ x)))
+        assert value == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        assert np.max(C.vertices @ a) <= 1.0 + 1e-9
+        assert a @ x == pytest.approx(value, rel=1e-9, abs=1e-12)
+
+    def test_polar_program_unbounded_outside_the_cone(self):
+        assert _gauge_vpoly(np.eye(2), np.array([-1.0, 0.5]), DEFAULT_TOL) == (np.inf, None)
 
     def test_gauge_at_origin(self):
         assert gauge(simplex_cap_neg(3), np.zeros(3)) == 0.0

@@ -17,20 +17,19 @@ from homothetics.instances import regular_simplex
 TOL = Tolerance()
 
 
-def lp_max_x_leq_1():
-    return LinearProgram.new([1.0], [[1.0]], ["<="], [1.0], maximize=True)
-
-
 class TestSolveLp:
     def test_max_bounded(self):
-        res = solve_lp(lp_max_x_leq_1())
+        # max x  s.t.  x <= 1, as min -x
+        res = solve_lp(LinearProgram.new([-1.0], [[1.0]], ["<="], [1.0]))
         assert res.status is LpStatus.OPTIMAL
-        assert res.value == pytest.approx(1.0)
+        assert -res.value == pytest.approx(1.0)
         assert res.primal[0] == pytest.approx(1.0)
 
     def test_unbounded(self):
-        lp = LinearProgram.new([1.0], [[0.0]], ["<="], [1.0], lower=[0.0], maximize=True)
-        assert solve_lp(lp).status is LpStatus.UNBOUNDED
+        lp = LinearProgram.new([-1.0], [[0.0]], ["<="], [1.0], lower=[0.0])
+        res = solve_lp(lp)
+        assert res.status is LpStatus.UNBOUNDED
+        assert res.value == -np.inf
 
     def test_infeasible(self):
         lp = LinearProgram.new([1.0], [[1.0]], ["<="], [-1.0], lower=[0.0])
@@ -64,21 +63,6 @@ class TestSolveLp:
         # dual objective y . b = (-1)(-1) = 1 matches the primal value
         assert res.dual[0] == pytest.approx(-1.0)
         assert res.dual @ lp.rhs == pytest.approx(res.value)
-
-    def test_upper_bounds(self):
-        lp = LinearProgram.new(
-            [-1.0, -1.0], [[1.0, 1.0]], ["<="], [10.0], lower=[0.0, 0.0], upper=[2.0, 3.0]
-        )
-        res = solve_lp(lp)
-        assert res.status is LpStatus.OPTIMAL
-        assert np.allclose(res.primal, [2.0, 3.0])
-
-    def test_upper_bound_only(self):
-        # x <= 3 with no lower bound is standardised as x = 3 - z, z >= 0
-        res = solve_lp(LinearProgram.new([-1.0], [[1.0]], ["<="], [10.0], upper=[3.0]))
-        assert res.status is LpStatus.OPTIMAL
-        assert res.primal[0] == pytest.approx(3.0)
-        assert res.value == pytest.approx(-3.0)
 
     def test_zero_artificials_driven_out_of_the_basis(self):
         # phase 1 ends feasible with an artificial still basic at zero on a
@@ -191,6 +175,28 @@ class TestInConvexHull:
             if brute:
                 break
         assert res.contains == brute
+
+    def test_close_ratio_tie_keeps_the_basis_feasible(self):
+        # six unit normals of a 5-ball support set: two rows of one ratio
+        # test differ by 1e-9, and leaving on the wrong one drove a basic
+        # variable to -5e-7.  The weights reach down to 3e-7.
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        G = np.array([
+            [-0.06815565571729543, 0.07444047643302465, 0.11871314673047662, 0.8863721693019959, -0.435964434721907],
+            [0.056100868105065725, -0.04591171715694316, -0.11663981787969274, -0.8979170884188143, 0.4181923744355345],
+            [0.682513928403832, -0.1453396340556151, 0.22896291526779383, -0.19853502054311908, -0.6490076712623397],
+            [0.29128464701022533, -0.7516418082080124, -0.07229953448501344, 0.253544396303329, 0.5297885077899942],
+            [0.0187879377933092, -0.1375589917310845, -0.9336257546448096, -0.03540795738654236, -0.3283500632024073],
+            [0.6455185591175518, 0.6194148351291083, -0.202391182097711, 0.17095338282258415, 0.35978299316030127],
+        ])
+        res = in_convex_hull(G, np.zeros(5))
+        assert res.contains
+        ref = scipy_opt.linprog(
+            np.zeros(6), A_eq=np.vstack([G.T, np.ones(6)]), b_eq=np.r_[np.zeros(5), 1.0],
+            bounds=[(0, None)] * 6, method="highs",
+        )
+        assert ref.status == 0
+        assert np.max(np.abs(res.coefficients - ref.x)) <= 1e-9
 
     def test_separator_certifies(self):
         rng = np.random.default_rng(5)
