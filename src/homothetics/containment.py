@@ -18,6 +18,8 @@ certificate and the core-set center search:
   point.  It solves vertex-only containers beyond the facet budget, and
   ``method="vrep"`` forces it as the cross-check reference.
 
+Both programs are solved relative to the first point at unit spread
+and scaled back, so their answers scale and translate with the data.
 The Euclidean ball is solved by the exact support-set solver.
 ``make_certificate`` turns a solution into touching points, supporting
 normals and convex weights whose weighted normal sum vanishes; on a
@@ -193,15 +195,18 @@ def _solve_ball(P: PointSet, C: Container, tol: Tolerance) -> Solution:
     duals = np.zeros(len(P))
     duals[list(ball.support)] = ball.weights
     gauges = all_gauges(P, C, ball.center, tol)
-    _verify_cover(P, C, ball.radius, ball.center, tol, gauges=gauges)
+    _verify_cover(gauges, ball.radius, ball.center, tol)
     active = _touching(gauges, ball.radius, _slack(ball.radius, ball.center, tol))
     return Solution(ball.radius, ball.center, tuple(active), (), duals)
 
 
 def _solve_hrep(P: PointSet, C: Container, tol: Tolerance) -> Solution:
-    # only the outermost point per facet can bind: h_k = max_i a_k.p_i
-    prods = P.points @ C.facets.T  # (n, m)
+    # only the outermost point per facet can bind: h_k = max_i a_k.p_i,
+    # taken relative to the first point
+    origin = P.points[0]
+    prods = (P.points - origin) @ C.facets.T  # (n, m)
     rho, center, lam = _facet_program(C.facets, prods.max(axis=0), tol)
+    center = origin + center
     rho = max(0.0, rho)
     lam = np.clip(lam, 0.0, None)
     lam /= lam.sum()
@@ -209,46 +214,30 @@ def _solve_hrep(P: PointSet, C: Container, tol: Tolerance) -> Solution:
     duals = np.bincount(np.argmax(prods, axis=0), weights=lam, minlength=len(P))
     active_normals = np.nonzero(lam > 1e-9)[0].tolist()
     gauges = all_gauges(P, C, center, tol)
-    _verify_cover(P, C, rho, center, tol, gauges=gauges)
+    _verify_cover(gauges, rho, center, tol)
     active = _touching(gauges, rho, _slack(rho, center, tol))
     return Solution(rho, center, tuple(active), tuple(active_normals), duals)
 
 
 def _solve_vrep(P: PointSet, C: Container, tol: Tolerance) -> Solution:
-    rho, center, lam, _, mu = _vertex_program(P.points, C.vertices, np.zeros(len(P)), tol)
+    rho, center, lam, _ = _vertex_program(P.points, C.vertices, np.zeros(len(P)), tol)
     rho = max(0.0, rho)
-    _verify_cover(P, C, rho, center, tol, mu=mu)
+    gauges = all_gauges(P, C, center, tol)
+    _verify_cover(gauges, rho, center, tol)
     lam = np.clip(lam, 0.0, None)
     total = lam.sum()
     if total > 0:
         lam /= total
-    active = touching_indices(P, C, rho, center, tol)
+    active = _touching(gauges, rho, _slack(rho, center, tol))
     return Solution(rho, center, tuple(active), (), lam)
 
 
-def _verify_cover(
-    P: PointSet, C: Container, rho: float, center, tol: Tolerance, gauges=None, mu=None
-) -> None:
+def _verify_cover(gauges: np.ndarray, rho: float, center, tol: Tolerance) -> None:
     """Raise ``LpError`` unless P lies in center + rho*C, up to ten times
-    the gauge slack of ``_slack``.
-
-    Judged from the per-point gauges (computed here when not given), or,
-    for a vertex-program solve with multipliers ``mu`` (one row per
-    point), from that program's own primal: p_i = c + sum_j mu_ij v_j
-    with mu >= -tol.feas and sum_j mu_ij <= rho.
-    """
-    slack = 10 * _slack(rho, center, tol)
-    if mu is not None:
-        diffs = P.points - center
-        resid = float(np.max(np.abs(diffs - mu @ C.vertices)))
-        if resid > slack * max(1.0, float(np.max(np.abs(diffs)))) or np.min(mu) < -tol.feas:
-            raise LpError(f"vertex multipliers do not represent P: residual {resid:.3e}")
-        worst = float(np.max(mu.sum(axis=1)))
-    else:
-        if gauges is None:
-            gauges = all_gauges(P, C, center, tol)
-        worst = float(np.max(gauges))
-    if worst > rho + slack:
+    the gauge slack of ``_slack``, judged from the gauges of P about the
+    center."""
+    worst = float(np.max(gauges))
+    if worst > rho + 10 * _slack(rho, center, tol):
         raise LpError(f"solution does not cover: gauge {worst} > rho {rho}")
 
 
@@ -259,29 +248,36 @@ def _facet_program(A: np.ndarray, h: np.ndarray, tol: Tolerance):
     sum lam_k a_k = 0).  Written as t = max(h) + s with s free, every
     right-hand side is nonnegative, so the slack basis is feasible and no
     phase 1 runs; t >= 0 needs no bound when the normals positively span.
+    The right-hand sides are divided by their spread, so the LP sees unit
+    data at every scale; s and c are scaled back.
     """
     m, d = A.shape
     top = float(h.max())
-    # variables (c, s):  -a_k.c - s <= top - h_k
+    spread = top - float(h.min()) or 1.0
+    # variables (c, s):  -a_k.c - s <= (top - h_k) / spread
     lhs = np.hstack([-A, -np.ones((m, 1))])
     obj = np.zeros(d + 1)
     obj[d] = 1.0
-    res = solve_lp(LinearProgram.new(obj, lhs, ["<="] * m, top - h), tol)
+    res = solve_lp(LinearProgram.new(obj, lhs, ["<="] * m, (top - h) / spread), tol)
     if res.status is not LpStatus.OPTIMAL:
         raise LpError(f"containment LP ended {res.status}")
-    return top + res.value, res.primal[:d], -res.dual
+    return top + spread * res.value, spread * res.primal[:d], -res.dual
 
 
 def _vertex_program(points: np.ndarray, V: np.ndarray, offsets: np.ndarray, tol: Tolerance):
     """min t  s.t.  sum_j mu_ij v_j + c = p_i,  sum_j mu_ij - t = offsets_i,
     mu >= 0, t >= 0: p_i lies in c + (offsets_i + t) * conv(V).
 
-    Returns (t, c, lam, Y, mu): per-point weights lam_i, dual vectors Y_i
-    and the (n, m) multipliers; where lam_i > 0, Y_i / lam_i is a
+    Solved on (p_i - p_0) / s with offsets / s, s = max |p_i - p_0|, so
+    the LP sees unit data at every scale; t and c are mapped back, and
+    the duals do not change.  Returns (t, c, lam, Y): per-point weights
+    lam_i and dual vectors Y_i; where lam_i > 0, Y_i / lam_i is a
     supporting normal (unit offset) of the dilated container at p_i.
     """
     n, d = points.shape
     m = V.shape[0]
+    origin = points[0]
+    spread = float(np.max(np.abs(points - origin))) or 1.0
     # variables (c, t, mu_11..mu_nm); d + 1 rows per point
     nvar = d + 1 + n * m
     rows = n * (d + 1)
@@ -291,10 +287,10 @@ def _vertex_program(points: np.ndarray, V: np.ndarray, offsets: np.ndarray, tol:
         r0 = i * (d + 1)
         lhs[r0 : r0 + d, :d] = np.eye(d)
         lhs[r0 : r0 + d, d + 1 + i * m : d + 1 + (i + 1) * m] = V.T
-        rhs[r0 : r0 + d] = points[i]
+        rhs[r0 : r0 + d] = (points[i] - origin) / spread
         lhs[r0 + d, d + 1 + i * m : d + 1 + (i + 1) * m] = 1.0
         lhs[r0 + d, d] = -1.0
-        rhs[r0 + d] = offsets[i]
+        rhs[r0 + d] = offsets[i] / spread
     obj = np.zeros(nvar)
     obj[d] = 1.0
     lower = np.concatenate([np.full(d, -np.inf), np.zeros(1 + n * m)])
@@ -302,8 +298,7 @@ def _vertex_program(points: np.ndarray, V: np.ndarray, offsets: np.ndarray, tol:
     if res.status is not LpStatus.OPTIMAL:
         raise LpError(f"containment LP ended {res.status}")
     duals = res.dual.reshape(n, d + 1)
-    mu = res.primal[d + 1 :].reshape(n, m)
-    return res.value, res.primal[:d], -duals[:, d], duals[:, :d], mu
+    return spread * res.value, origin + spread * res.primal[:d], -duals[:, d], duals[:, :d]
 
 
 # -- certificates -------------------------------------------------------------
@@ -430,7 +425,7 @@ def _supporting_pairs(P, C, sol, touching, slack, tol):
     # vertex-only container beyond the facet budget: recover coherent
     # normals from the LP duals of a fresh solve, provided the candidate is
     # that optimum
-    opt_rho, _, lam, Y, _ = _vertex_program(P.points, C.vertices, np.zeros(len(P)), tol)
+    opt_rho, _, lam, Y = _vertex_program(P.points, C.vertices, np.zeros(len(P)), tol)
     if rho <= opt_rho * (1.0 + tol.eq):
         idx = touching[lam[touching] > 1e-9]
         if idx.size:

@@ -187,13 +187,16 @@ def _find_covering_center(
     allowed = (1.0 + eps) * radius
     slack = max(tol.feas * allowed, _roundoff(P.points))
     if C.facets is not None:
-        prods = P.points @ C.facets.T
+        # relative to the first point, added back to the center
+        origin = P.points[0]
+        prods = (P.points - origin) @ C.facets.T
         h = np.maximum(prods[idx].max(axis=0) - radius, prods.max(axis=0) - allowed)
         t, center, _ = _facet_program(C.facets, h, tol)
+        center = origin + center
     else:
         pts = np.vstack([P.points[idx], P.points])
         offsets = np.concatenate([np.full(len(idx), radius), np.full(len(P), allowed)])
-        t, center, _, _, _ = _vertex_program(pts, C.vertices, offsets, tol)
+        t, center, _, _ = _vertex_program(pts, C.vertices, offsets, tol)
     return center if t <= slack else None
 
 

@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from .containment import min_containment
 from .coresets import (
     center_conformity_bound_check,
-    extract_zero_coreset,
     greedy_coreset,
     optimal_coreset_size,
     validate_coreset,
 )
-from .geometry import Container, DEFAULT_TOL, PointSet, Tolerance, gauge, reflect
+from .geometry import Container, DEFAULT_TOL, PointSet, Tolerance, reflect
 from .instances import (
     box_ambiguity_instance,
     random_pointset,
@@ -113,12 +113,49 @@ def _bound_row(instance, param, computed, bound, tol_eq):
     return Row(instance, param, float(computed), float(bound), dev, dev <= tol_eq)
 
 
+def _flag_row(instance, param, ok):
+    # a yes/no check: computed 1 against reference 1 when it holds
+    return Row(instance, param, 1.0 if ok else 0.0, 1.0, 0.0 if ok else 1.0, ok)
+
+
 def _guard_rows(rows: list[Row], instance: str, fn) -> None:
     """Run fn appending to rows; budget errors become failing rows."""
     try:
         fn()
     except BudgetExceeded as exc:
         rows.append(Row(instance, f"error: {exc}", float("nan"), float("nan"), float("inf"), False))
+
+
+def _random_sets(params, count, seed, d_hi, n_hi):
+    """The seeded random instances of one experiment, as (label, P, rng).
+
+    ``params`` may override the count ("random_instances") and the base
+    seed ("seed").  Instance t draws d in [2, d_hi) and then n in
+    [d+2, n_hi) from one PCG64 stream seeded by the base seed, and takes
+    ``random_pointset(n, d, base + 1 + t)``; further draws of the caller
+    come from the yielded stream, after n.
+    """
+    seed0 = params.get("seed", seed)
+    rng = np.random.Generator(np.random.PCG64(seed0))
+    for t in range(params.get("random_instances", count)):
+        d = int(rng.integers(2, d_hi))
+        n = int(rng.integers(d + 2, n_hi))
+        yield f"random[{seed0 + 1 + t}] n={n} d={d}", random_pointset(n, d, seed=seed0 + 1 + t), rng
+
+
+def _family(name: str, d: int, tol: Tolerance) -> Container:
+    if name == "negT":
+        return reflect(regular_simplex(d)[1])
+    if name == "cap":
+        return simplex_cap_neg(d, tol)
+    return standard_container(name, d)
+
+
+def _containers(tol: Tolerance):
+    """(family, d) -> generated container (ball, box, cross, negT, cap),
+    each built once.  Each experiment call makes its own, so no container
+    outlives the call and repeated calls do the same work."""
+    return cache(lambda name, d: _family(name, d, tol))
 
 
 # -- individual experiments ---------------------------------------------------
@@ -135,12 +172,8 @@ def _exp_asymm(params, tol):
             _value_row(f"T^{d}", "R(P,-P)", min_containment(P, reflect(T), tol).rho, d, tol.eq)
         )
     for d in sym_dims:
-        for name, C in (
-            ("box", standard_container("box", d)),
-            ("cross", standard_container("cross", d)),
-            ("cap", simplex_cap_neg(d, tol)),
-            ("ball", Container.ball(d)),
-        ):
+        for name in ("box", "cross", "cap", "ball"):
+            C = _family(name, d, tol)
             rows.append(_value_row(f"{name}^{d}", "s(C)", minkowski_asymmetry(C, tol), 1.0, tol.eq))
     return rows
 
@@ -177,61 +210,39 @@ def _henk_bound(k, l):
 
 
 def _exp_henk(params, tol):
-    dims = params.get("dims", range(2, 7))
-    n_random = params.get("random_instances", 30)
-    seed0 = params.get("seed", 2000)
+    container = _containers(tol)
     rows = []
-    for d in dims:
+    for d in params.get("dims", range(2, 7)):
         P, _ = regular_simplex(d)
-        ball = Container.ball(d)
-        rk = {k: core_radius(P, ball, k, tol).value for k in range(1, d + 1)}
+        rk = {k: core_radius(P, container("ball", d), k, tol).value for k in range(1, d + 1)}
         for k in range(1, d + 1):
             for l in range(1, k + 1):
                 rows.append(
                     _value_row(f"T^{d}/ball", f"R_{k}/R_{l}", rk[k] / rk[l], _henk_bound(k, l), tol.eq)
                 )
-    rng = np.random.Generator(np.random.PCG64(seed0))
-    for t in range(n_random):
-        d = int(rng.integers(2, 6))
-        n = int(rng.integers(d + 2, 15))
-        P = random_pointset(n, d, seed=seed0 + 1 + t)
-        ball = Container.ball(d)
-        rk = {k: core_radius(P, ball, k, tol).value for k in range(1, d + 1)}
+    for label, P, _ in _random_sets(params, 30, 2000, 6, 15):
+        d = P.dim
+        rk = {k: core_radius(P, container("ball", d), k, tol).value for k in range(1, d + 1)}
         for k in range(2, d + 1):
             for l in range(1, k):
-                rows.append(
-                    _bound_row(
-                        f"random[{seed0 + 1 + t}] n={n} d={d}",
-                        f"R_{k}/R_{l}",
-                        rk[k] / rk[l],
-                        _henk_bound(k, l),
-                        tol.eq,
-                    )
-                )
+                rows.append(_bound_row(label, f"R_{k}/R_{l}", rk[k] / rk[l], _henk_bound(k, l), tol.eq))
     return rows
 
 
 def _exp_jung(params, tol):
-    n_random = params.get("random_instances", 20)
-    seed0 = params.get("seed", 3000)
+    container = _containers(tol)
     eps = float(np.sqrt(2.0) - 1.0)
     rows = []
-    rng = np.random.Generator(np.random.PCG64(seed0))
-    for t in range(n_random):
-        d = int(rng.integers(2, 7))
-        n = int(rng.integers(d + 2, 25))
-        P = random_pointset(n, d, seed=seed0 + 1 + t)
+    for label, P, _ in _random_sets(params, 20, 3000, 7, 25):
         D = np.linalg.norm(P.points[:, None, :] - P.points[None, :, :], axis=2)
         i, j = np.unravel_index(int(np.argmax(D)), D.shape)
-        ok = validate_coreset(P, Container.ball(d), [int(i), int(j)], eps, tol=tol)
-        rows.append(
-            Row(f"random[{seed0 + 1 + t}] n={n} d={d}", "diametral-pair", 1.0 if ok else 0.0, 1.0, 0.0 if ok else 1.0, ok)
-        )
+        ok = validate_coreset(P, container("ball", P.dim), [int(i), int(j)], eps, tol=tol)
+        rows.append(_flag_row(label, "diametral-pair", ok))
     # sharp family: on simplex vertices the pair ratio approaches the bound
     for d in params.get("dims", (2, 4, 6)):
         P, _ = regular_simplex(d)
-        full = min_containment(P, Container.ball(d), tol).rho
-        pair = core_radius(P, Container.ball(d), 1, tol).value
+        full = min_containment(P, container("ball", d), tol).rho
+        pair = core_radius(P, container("ball", d), 1, tol).value
         rows.append(
             _bound_row(f"T^{d}/ball", "R/R_1", full / pair, np.sqrt(2.0), tol.eq)
         )
@@ -239,8 +250,7 @@ def _exp_jung(params, tol):
 
 
 def _exp_bohnenblust(params, tol):
-    n_random = params.get("random_instances", 15)
-    seed0 = params.get("seed", 4000)
+    container = _containers(tol)
     rows = []
     for d in params.get("dims", (2, 3, 4)):
         P, T = regular_simplex(d)
@@ -254,49 +264,27 @@ def _exp_bohnenblust(params, tol):
         )
         ratio2 = min_containment(P, diff, tol).rho / core_radius(P, diff, 1, tol).value
         rows.append(_value_row(f"T^{d}/(T-T)", "R/R_1 (equality)", ratio2, 2 * d / (d + 1), tol.eq))
-    rng = np.random.Generator(np.random.PCG64(seed0))
-    for t in range(n_random):
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(d + 2, 11))
-        P = random_pointset(n, d, seed=seed0 + 1 + t)
-        for name, C in (
-            ("ball", Container.ball(d)),
-            ("box", standard_container("box", d)),
-            ("negT", reflect(regular_simplex(d)[1])),
-        ):
+    for label, P, _ in _random_sets(params, 15, 4000, 5, 11):
+        for name in ("ball", "box", "negT"):
+            C = container(name, P.dim)
             s = minkowski_asymmetry(C, tol)
-            bound = (1 + s) * d / (d + 1)
+            bound = (1 + s) * P.dim / (P.dim + 1)
             ratio = min_containment(P, C, tol).rho / core_radius(P, C, 1, tol).value
-            rows.append(
-                _bound_row(f"random[{seed0 + 1 + t}] n={n} d={d}/{name}", "R/R_1", ratio, bound, tol.eq)
-            )
+            rows.append(_bound_row(f"{label}/{name}", "R/R_1", ratio, bound, tol.eq))
     return rows
 
 
 def _identity_corpus(params, tol):
-    dims = params.get("dims", range(2, 5))
-    n_random = params.get("random_instances", 12)
-    seed0 = params.get("seed", 5000)
-    for d in dims:
-        P, T = regular_simplex(d)
-        yield f"T^{d}/-T^{d}", P, reflect(T)
-        yield f"T^{d}/cap^{d}", P, simplex_cap_neg(d, tol)
-        yield f"T^{d}/ball", P, Container.ball(d)
-    rng = np.random.Generator(np.random.PCG64(seed0))
+    container = _containers(tol)
+    for d in params.get("dims", range(2, 5)):
+        P, _ = regular_simplex(d)
+        yield f"T^{d}/-T^{d}", P, container("negT", d)
+        yield f"T^{d}/cap^{d}", P, container("cap", d)
+        yield f"T^{d}/ball", P, container("ball", d)
     families = ["ball", "box", "cross", "negT", "cap"]
-    for t in range(n_random):
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(d + 2, 11))
+    for t, (label, P, _) in enumerate(_random_sets(params, 12, 5000, 5, 11)):
         fam = families[t % len(families)]
-        if fam == "ball":
-            C = Container.ball(d)
-        elif fam in ("box", "cross"):
-            C = standard_container(fam, d)
-        elif fam == "negT":
-            C = reflect(regular_simplex(d)[1])
-        else:
-            C = simplex_cap_neg(d, tol)
-        yield f"random[{seed0 + 1 + t}] n={n} d={d}/{fam}", random_pointset(n, d, seed=seed0 + 1 + t), C
+        yield f"{label}/{fam}", P, container(fam, P.dim)
 
 
 def _exp_identity_radii(params, tol):
@@ -314,6 +302,7 @@ def _exp_identity_radii(params, tol):
 
 
 def _exp_symm_bound(params, tol):
+    container = _containers(tol)
     rows = []
     for d in params.get("dims", (3, 4, 5)):
         for k in range(2, d):
@@ -326,21 +315,14 @@ def _exp_symm_bound(params, tol):
                 rows.append(
                     _value_row(f"T^{k} in R^{d}/prism", f"R_{k}/R_{l}", rk[k] / rk[l], bound, tol.eq)
                 )
-    n_random = params.get("random_instances", 10)
-    seed0 = params.get("seed", 6000)
-    rng = np.random.Generator(np.random.PCG64(seed0))
-    for t in range(n_random):
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(d + 2, 11))
-        P = random_pointset(n, d, seed=seed0 + 1 + t)
-        C = standard_container("cross" if t % 2 else "box", d)
+    for t, (label, P, _) in enumerate(_random_sets(params, 10, 6000, 5, 11)):
+        d = P.dim
+        C = container("cross" if t % 2 else "box", d)
         rk = {k: core_radius(P, C, k, tol).value for k in range(1, d + 1)}
         for k in range(2, d + 1):
             for l in range(1, k):
                 bound = min(2 * k / (k + 1), k / l)
-                rows.append(
-                    _bound_row(f"random[{seed0 + 1 + t}] n={n} d={d}", f"R_{k}/R_{l}", rk[k] / rk[l], bound, tol.eq)
-                )
+                rows.append(_bound_row(label, f"R_{k}/R_{l}", rk[k] / rk[l], bound, tol.eq))
     return rows
 
 
@@ -353,26 +335,19 @@ def _linear_size_bound(d: int, eps: float) -> int:
 
 
 def _exp_coreset_meb(params, tol):
+    container = _containers(tol)
     eps_grid = params.get("eps", (0.1, 0.25, 0.5, 1.0))
-    n_random = params.get("random_instances", 12)
-    seed0 = params.get("seed", 7000)
     rows = []
-    rng = np.random.Generator(np.random.PCG64(seed0))
-    for t in range(n_random):
-        d = int(rng.integers(2, 6))
-        n = int(rng.integers(d + 2, 13))
-        P = random_pointset(n, d, seed=seed0 + 1 + t)
+    for label, P, _ in _random_sets(params, 12, 7000, 6, 13):
         for eps in eps_grid:
-            size = optimal_coreset_size(P, Container.ball(d), eps, tol)
-            rows.append(
-                _bound_row(f"random[{seed0 + 1 + t}] n={n} d={d}", f"size(eps={eps})", size, _meb_size_bound(eps), 0.0)
-            )
+            size = optimal_coreset_size(P, container("ball", P.dim), eps, tol)
+            rows.append(_bound_row(label, f"size(eps={eps})", size, _meb_size_bound(eps), 0.0))
     # sharpness: d/(d+1) > (1+eps)^2 k/(k+1) at d=8, eps=0.3, k=1 makes the
     # two-point radius too small, so the bound ceil(1/(2 eps+eps^2))+1 = 3
     # is attained exactly
     d, eps = params.get("sharp_dim", 8), params.get("sharp_eps", 0.3)
     P, _ = regular_simplex(d)
-    size = optimal_coreset_size(P, Container.ball(d), eps, tol)
+    size = optimal_coreset_size(P, container("ball", d), eps, tol)
     rows.append(_value_row(f"T^{d}/ball", f"size(eps={eps}) sharp", size, _meb_size_bound(eps), 0.0))
     lhs, rhs = d / (d + 1), (1 + eps) ** 2 * 1 / 2
     rows.append(Row(f"T^{d}/ball", f"d/(d+1)={lhs:.4f} > (1+eps)^2 k/(k+1)={rhs:.4f}", lhs, rhs, 0.0, lhs > rhs))
@@ -413,20 +388,13 @@ def _exp_coreset_linear(params, tol):
 
 
 def _exp_center_conformity(params, tol):
-    n_random = params.get("random_instances", 15)
-    seed0 = params.get("seed", 8000)
+    container = _containers(tol)
     rows = []
-    rng = np.random.Generator(np.random.PCG64(seed0))
-    for t in range(n_random):
-        d = int(rng.integers(2, 6))
-        n = int(rng.integers(d + 2, 33))
-        P = random_pointset(n, d, seed=seed0 + 1 + t)
+    for label, P, rng in _random_sets(params, 15, 8000, 6, 33):
         eps = float(rng.choice([0.1, 0.25, 0.5]))
-        cs = greedy_coreset(P, Container.ball(d), eps, tol)
+        cs = greedy_coreset(P, container("ball", P.dim), eps, tol)
         ok = center_conformity_bound_check(P, cs.indices, max(cs.eps_achieved, 1e-12), tol)
-        rows.append(
-            Row(f"random[{seed0 + 1 + t}] n={n} d={d}", f"factor(eps={cs.eps_achieved:.4g})", 1.0 if ok else 0.0, 1.0, 0.0 if ok else 1.0, ok)
-        )
+        rows.append(_flag_row(label, f"factor(eps={cs.eps_achieved:.4g})", ok))
     # ambiguous-center failure and its repair
     d, tau, eps = params.get("box_dim", 3), params.get("tau", 1.0), params.get("box_eps", 0.9)
     P = box_ambiguity_instance(d, tau)
@@ -434,8 +402,8 @@ def _exp_center_conformity(params, tol):
     pair = [len(P) - 2, len(P) - 1]
     fixed_fails = not validate_coreset(P, box, pair, eps, require_center_conform=True, fixed_center=True, tol=tol)
     search_ok = validate_coreset(P, box, pair, 0.0, require_center_conform=True, tol=tol)
-    rows.append(Row(f"box-ambiguity d={d} tau={tau}", f"fixed-center fails at eps={eps}", 1.0 if fixed_fails else 0.0, 1.0, 0.0 if fixed_fails else 1.0, fixed_fails))
-    rows.append(Row(f"box-ambiguity d={d} tau={tau}", "center search passes at eps=0", 1.0 if search_ok else 0.0, 1.0, 0.0 if search_ok else 1.0, search_ok))
+    rows.append(_flag_row(f"box-ambiguity d={d} tau={tau}", f"fixed-center fails at eps={eps}", fixed_fails))
+    rows.append(_flag_row(f"box-ambiguity d={d} tau={tau}", "center search passes at eps=0", search_ok))
     return rows
 
 
@@ -499,18 +467,13 @@ def _exp_panigrahy(params, tol):
 
 
 def _exp_parallelotope(params, tol):
-    n_random = params.get("random_instances", 20)
-    seed0 = params.get("seed", 9000)
+    container = _containers(tol)
     rows = []
-    rng = np.random.Generator(np.random.PCG64(seed0))
-    for t in range(n_random):
-        d = int(rng.integers(2, 7))
-        n = int(rng.integers(d + 2, 13))
-        P = random_pointset(n, d, seed=seed0 + 1 + t)
-        box = standard_container("box", d)
+    for label, P, _ in _random_sets(params, 20, 9000, 7, 13):
+        box = container("box", P.dim)
         r1 = core_radius(P, box, 1, tol).value
         full = min_containment(P, box, tol).rho
-        rows.append(_value_row(f"random[{seed0 + 1 + t}] n={n} d={d}", "R_1 = R", r1, full, tol.eq))
+        rows.append(_value_row(label, "R_1 = R", r1, full, tol.eq))
     return rows
 
 

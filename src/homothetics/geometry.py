@@ -342,14 +342,17 @@ def _gauge_vpoly(vertices: np.ndarray, x: np.ndarray, tol: Tolerance):
     program max a.x s.t. a.v_j <= 1.  Its right-hand sides are all one,
     so it starts from the slack basis a = 0 and ends optimal or
     unbounded; unbounded means x lies outside the cone of the vertices,
-    where the gauge is inf and there is no normal."""
+    where the gauge is inf and there is no normal.  The program runs on
+    x / max|x_i|, so it sees a unit objective at every scale, and the
+    gauge is scaled back."""
     from .lp import LinearProgram, LpStatus, solve_lp
 
     m, _ = vertices.shape
-    res = solve_lp(LinearProgram.new(-x, vertices, ["<="] * m, np.ones(m)), tol)
+    scale = float(np.max(np.abs(x))) or 1.0
+    res = solve_lp(LinearProgram.new(-x / scale, vertices, ["<="] * m, np.ones(m)), tol)
     if res.status is LpStatus.UNBOUNDED:
         return np.inf, None
-    return max(0.0, -res.value), res.primal
+    return max(0.0, -res.value) * scale, res.primal
 
 
 def support(container: Container, direction) -> float:

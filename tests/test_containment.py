@@ -16,6 +16,7 @@ from homothetics.containment import (
     _vertex_program,
     _verify_cover,
     Solution,
+    all_gauges,
     halfspace_lemma_check,
     make_certificate,
     min_containment,
@@ -27,6 +28,7 @@ from homothetics.instances import (
     regular_simplex,
     simplex_cap_neg,
     standard_container,
+    symmetric_counterexample,
 )
 from homothetics.lp import LpError
 
@@ -310,23 +312,21 @@ class TestDerivedFacetSolves:
 class TestCoverCheck:
     @pytest.mark.parametrize("tag", ["ball", "box-V", "cube6-V"])
     def test_shrunk_rho_raises(self, tag):
+        # every solve is judged by its gauges; the vertex-only 6-cube's
+        # come from the polar program, one per point
         d = 6 if tag == "cube6-V" else 3
         P = random_pointset(8, d, seed=97, distribution="gauss")
         tol = DEFAULT_TOL
-        mu = None
         if tag == "ball":
             C = Container.ball(d)
         else:
             C = Container.from_vertices(cube_vertices(d))
-        if tag == "cube6-V":
-            assert C.facets is None
-            rho, center, _, _, mu = _vertex_program(P.points, C.vertices, np.zeros(len(P)), tol)
-        else:
-            sol = min_containment(P, C)
-            rho, center = sol.rho, sol.center
-        _verify_cover(P, C, rho, center, tol, mu=mu)
+            assert (C.facets is None) == (tag == "cube6-V")
+        sol = min_containment(P, C)
+        gauges = all_gauges(P, C, sol.center, tol)
+        _verify_cover(gauges, sol.rho, sol.center, tol)
         with pytest.raises(LpError):
-            _verify_cover(P, C, rho - 1e-3, center, tol, mu=mu)
+            _verify_cover(gauges, sol.rho - 1e-3, sol.center, tol)
 
 
 class TestFacetProgram:
@@ -575,6 +575,50 @@ class TestBallPath:
         assert np.max(dirs @ y) <= -1.0 + 1e-9
         worst = np.max(np.linalg.norm(P.points - (center - 1e-4 * y), axis=1))
         assert worst < 1.0
+
+
+class TestPolytopeScale:
+    """Facet and vertex programs solve relative to the first point at unit
+    spread, so R(sigma P + t, C) = sigma R(P, C) and the solution
+    certifies far below scale 1 and far from the origin."""
+
+    @staticmethod
+    def _check(P, C, log_sigma, log_shift, seed):
+        sigma = 10.0**log_sigma
+        shift = np.random.default_rng(seed).standard_normal(P.dim)
+        t = 10.0**log_shift * sigma * shift / np.linalg.norm(shift)
+        base = min_containment(P, C).rho
+        Q = PointSet(sigma * P.points + t)
+        sol = min_containment(Q, C)
+        assert sol.rho == pytest.approx(sigma * base, rel=1e-6)
+        make_certificate(Q, C, sol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["box", "cross", "cap", "negT", "prism"]),
+        st.integers(3, 5),
+        st.floats(-9.0, 3.0),
+        st.floats(-3.0, 6.0),
+        st.integers(0, 10_000),
+    )
+    @example("box", 3, -9.0, -3.0, 0)
+    @example("cap", 4, -9.0, -3.0, 1)
+    @example("prism", 5, -9.0, 0.0, 2)
+    @example("cross", 3, -3.0, 6.0, 3)
+    def test_facet_program(self, tag, d, log_sigma, log_shift, seed):
+        C = symmetric_counterexample(d, 2) if tag == "prism" else corpus_container(tag, d)
+        P = random_pointset(8, d, seed=seed, distribution="gauss")
+        self._check(P, C, log_sigma, log_shift, seed)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(-9.0, 3.0), st.floats(-3.0, 3.0), st.integers(0, 10_000))
+    @example(-9.0, -3.0, 0)
+    @example(-8.0, 3.0, 1)
+    def test_vertex_program(self, log_sigma, log_shift, seed):
+        C = Container.from_vertices(cube_vertices(6))
+        assert C.facets is None
+        P = random_pointset(8, 6, seed=seed, distribution="gauss")
+        self._check(P, C, log_sigma, log_shift, seed)
 
 
 class TestCertificateArrays:

@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from homothetics.experiments import (
     CSV_HEADER,
     experiment_ids,
+    run_all,
     run_experiment,
 )
 
@@ -22,6 +25,35 @@ def test_experiment_passes(name):
     assert rep.rows, name
     bad = [r for r in rep.rows if not r.passed]
     assert not bad, bad[:4]
+
+
+def test_default_catalog():
+    # the default params are what `verify --all` and the catalog benchmark
+    # run: every row passes, the row counts hold, and the instance and
+    # param columns (every label and seed) are exactly those of the
+    # released catalog
+    reports = run_all()
+    assert all(rep.passed for rep in reports)
+    assert {rep.experiment: len(rep.rows) for rep in reports} == {
+        "asymm": 30,
+        "core-radii-neg-simplex": 20,
+        "lemma-cd": 27,
+        "henk": 177,
+        "jung": 23,
+        "bohnenblust": 51,
+        "identity-radii": 128,
+        "symm-bound": 48,
+        "coreset-meb": 50,
+        "coreset-linear": 43,
+        "center-conformity": 17,
+        "panigrahy": 4,
+        "parallelotope": 20,
+    }
+    lines = [line for rep in reports for line in rep.to_csv_rows()]
+    columns = "\n".join(",".join(line.split(",")[:3]) for line in lines)
+    assert hashlib.sha256(columns.encode()).hexdigest() == (
+        "d67b41b0e6c7197e24bd4ed391629fab68df7d06ce607f6e0482ec70df0b518d"
+    )
 
 
 def test_unknown_experiment():

@@ -182,6 +182,18 @@ class TestGauge:
         assert np.max(C.vertices @ a) <= 1.0 + 1e-9
         assert a @ x == pytest.approx(value, rel=1e-9, abs=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-9.0, 3.0))
+    @example(0, -9.0)
+    def test_polar_program_scale_free(self, seed, log_scale):
+        # the vertex-only 6-cube, whose gauge is the max norm
+        C = Container.from_vertices(np.array(np.meshgrid(*([[-1.0, 1.0]] * 6))).reshape(6, -1).T)
+        assert C.facets is None
+        s = 10.0**log_scale
+        x = np.random.default_rng(seed).standard_normal(6)
+        assert gauge(C, x) == pytest.approx(np.max(np.abs(x)), rel=1e-9)
+        assert gauge(C, s * x) == pytest.approx(s * gauge(C, x), rel=1e-9)
+
     def test_polar_program_unbounded_outside_the_cone(self):
         assert _gauge_vpoly(np.eye(2), np.array([-1.0, 0.5]), DEFAULT_TOL) == (np.inf, None)
 
