@@ -10,12 +10,12 @@ certificate and the core-set center search:
   containment h_k = max_i a_k.p_i, since only the outermost point per
   facet can bind; each facet weight goes to the lowest-index point
   attaining h_k, giving the point weights.  Every polytope with normals
-  takes it, and so does every vertex-only container within the facet
-  budget (d <= 6, at most 40 vertices and 250 000 d-subsets of them),
-  whose facets are enumerated once from the polar.
+  takes it, and so does every vertex-only container whose facets, the
+  vertices of its polar, are enumerated once by double description
+  within its bound (``instances.ENUM_BOUND``).
 - vertex program (vertices v_j): p_i = c + sum_j mu_ij v_j with
   sum_j mu_ij = t; its duals give a weight and a supporting normal per
-  point.  It solves vertex-only containers beyond the facet budget, and
+  point.  It solves vertex-only containers beyond that bound, and
   ``method="vrep"`` forces it as the cross-check reference.
 
 Both programs are solved relative to the first point at unit spread
@@ -164,8 +164,8 @@ def min_containment(
 
     method: "auto" takes the exact ball solver for balls, the facet
     program whenever ``C.facets`` exists (given normals, or facets derived
-    from the vertices within the facet budget) and the vertex program for
-    vertex-only containers beyond that budget; "hrep"/"vrep" force a
+    from the vertices within the enumeration bound) and the vertex program
+    for vertex-only containers beyond it; "hrep"/"vrep" force a
     polytope formulation (useful for cross-checks).  Every solution is
     checked to cover P before it is returned; ``LpError`` otherwise.
     """
@@ -422,7 +422,7 @@ def _supporting_pairs(P, C, sol, touching, slack, tol):
             active[list(sol.active_normals)] = True
             seed &= active[ks]
         return idx, A[ks], seed
-    # vertex-only container beyond the facet budget: recover coherent
+    # vertex-only container beyond the enumeration bound: recover coherent
     # normals from the LP duals of a fresh solve, provided the candidate is
     # that optimum
     opt_rho, _, lam, Y = _vertex_program(P.points, C.vertices, np.zeros(len(P)), tol)

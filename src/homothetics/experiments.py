@@ -251,6 +251,7 @@ def _exp_jung(params, tol):
 
 def _exp_bohnenblust(params, tol):
     container = _containers(tol)
+    asymmetry = cache(lambda name, d: minkowski_asymmetry(container(name, d), tol))
     rows = []
     for d in params.get("dims", (2, 3, 4)):
         P, T = regular_simplex(d)
@@ -267,8 +268,7 @@ def _exp_bohnenblust(params, tol):
     for label, P, _ in _random_sets(params, 15, 4000, 5, 11):
         for name in ("ball", "box", "negT"):
             C = container(name, P.dim)
-            s = minkowski_asymmetry(C, tol)
-            bound = (1 + s) * P.dim / (P.dim + 1)
+            bound = (1 + asymmetry(name, P.dim)) * P.dim / (P.dim + 1)
             ratio = min_containment(P, C, tol).rho / core_radius(P, C, 1, tol).value
             rows.append(_bound_row(f"{label}/{name}", "R/R_1", ratio, bound, tol.eq))
     return rows

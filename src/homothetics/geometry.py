@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import comb
 
 import numpy as np
 
@@ -132,12 +131,11 @@ class Container:
     than one must be rescaled before construction (`from_halfspaces`).
 
     ``facets`` gives unit-offset facet normals for every polytope that has
-    or can cheaply get them: the given normals, or for a vertex-only
-    container within the facet budget (d <= 6, at most 40 vertex rows and
-    at most 250 000 d-subsets of them) the vertices of the polar
-    {a : a.v <= 1}, enumerated once on first access and cached.  It is
-    None for balls and for vertex-only containers beyond the budget, which
-    are solved through their vertices.
+    or can get them: the given normals, or for a vertex-only container the
+    vertices of the polar {a : a.v <= 1}, enumerated by double description
+    once, on first access, and cached.  It is None for balls and for
+    vertex-only containers whose enumeration exceeds the bound
+    (``instances.ENUM_BOUND``), which are solved through their vertices.
     """
 
     dim: int
@@ -227,31 +225,27 @@ class Container:
             return self.normals
         if self.vertices is None:
             return None
-        from .instances import ENUM_MAX_DIM, ENUM_MAX_ROWS, FACETS_MAX_SUBSETS, _polar_vertices
+        from .instances import _polar_vertices
 
-        m, d = self.vertices.shape
-        if d > ENUM_MAX_DIM or m > ENUM_MAX_ROWS or comb(m, d) > FACETS_MAX_SUBSETS:
-            return None
-        return _freeze(_polar_vertices(self.vertices))
+        X = _polar_vertices(self.vertices)
+        return None if X is None else _freeze(X)
 
     @cached_property
     def facet_duals(self) -> np.ndarray | None:
         """Vertices of Lambda(C) = {lam >= 0 : A^T lam = 0, sum(lam) = 1}
         over the rows A of ``facets``, one vertex per row, or None when
-        there are no facets or more than the facet budget's 250 000
-        (d+1)-subsets of them.  By LP duality of the facet program,
+        there are no facets or their enumeration exceeds the bound
+        (``instances.ENUM_BOUND``).  By LP duality of the facet program,
         R(S, C) is the largest lam.h over these vertices, where
         h_k = max_{p in S} a_k.p.  Enumerated once on first access and
         cached."""
         A = self.facets
         if A is None:
             return None
-        from .instances import FACETS_MAX_SUBSETS, _facet_duals
+        from .instances import _facet_duals
 
-        m, d = A.shape
-        if comb(m, d + 1) > FACETS_MAX_SUBSETS:
-            return None
-        return _freeze(_facet_duals(A))
+        L = _facet_duals(A)
+        return None if L is None else _freeze(L)
 
     def is_symmetric(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """True when the body equals its reflection -C (checked setwise)."""
@@ -322,8 +316,8 @@ def gauge(container: Container, x, tol: Tolerance = DEFAULT_TOL) -> float:
     """Least rho >= 0 with x in rho * container.
 
     Polytope with facets: max_k a_k.x clamped below at zero.  Ball:
-    Euclidean norm.  Vertex-only form beyond the facet budget: the polar
-    program of ``_gauge_vpoly``.
+    Euclidean norm.  Vertex-only form beyond the enumeration bound: the
+    polar program of ``_gauge_vpoly``.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != container.dim:

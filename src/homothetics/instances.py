@@ -1,7 +1,7 @@
-"""Deterministic generators: extremal bodies, random corpora, vertex
-enumeration for small H-polytopes (and, through the polar, facet
-enumeration for small V-polytopes), and the batched subset solves behind
-them and behind the facet duals of ``Container.facet_duals``.
+"""Deterministic generators: extremal bodies, random corpora, and
+polytope enumeration by double description: the vertices of H-polytopes,
+through the polar the facets of V-polytopes, and the facet duals of
+``Container.facet_duals``.
 
 The regular simplex is normalised so its vertices x_i satisfy
 |x_i|^2 = d and x_i.x_j = -1 for i != j; with unit-offset normals
@@ -13,7 +13,6 @@ follow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -31,24 +30,12 @@ __all__ = [
     "vertex_enumeration",
 ]
 
-# Enumeration budget: d-subsets of at most ENUM_MAX_ROWS rows in
-# dimension at most ENUM_MAX_DIM, solved in chunks of _ENUM_CHUNK 4x4
-# systems' worth of entries.  Facets
-# derived for a vertex-only container are enumerated on its first solve
-# without being asked for, so they also stay within FACETS_MAX_SUBSETS
-# d-subsets (the 5-cube has 201 376): at about 2.5 us per subset on a
-# 2-core x86 host, 40 vertices in d=6 would take 10 s where the vertex
-# program solves ten points in 20 ms.  The facet duals of a container
-# (``Container.facet_duals``), enumerated on its first core radius, stay
-# within FACETS_MAX_SUBSETS (d+1)-subsets of its facets; the
-# 5-cross-polytope, with 906 192, is beyond it.  With chunks of 8192 4x4
-# systems, peak RSS crept up by 0.03-0.07 MB per pass of the experiment
-# catalog (the 8x8 facet-dual systems of T cap -T in R^7); 2048 keep the
-# creep near 0.02 MB per pass on a 2-core x86 host.
-ENUM_MAX_DIM = 6
-ENUM_MAX_ROWS = 40
-FACETS_MAX_SUBSETS = 250_000
-_ENUM_CHUNK = 2048
+# Double description (``_extreme_rays``) gives up once a step would test more
+# than ENUM_BOUND pairs of rays or hold more than ENUM_BOUND zero-set entries;
+# past sqrt(ENUM_BOUND) vertices or facets are not kept, each being a row of
+# LPs with a dense basis inverse.  The pair test runs in _PAIR_CHUNK chunks.
+ENUM_BOUND = 1 << 20
+_PAIR_CHUNK = 1 << 18
 
 FAMILIES = (
     "regular-simplex",
@@ -126,13 +113,10 @@ def regular_simplex(d: int) -> tuple[PointSet, Container]:
 
 def simplex_cap_neg(d: int, tol: Tolerance = DEFAULT_TOL) -> Container:
     """The symmetric body T ∩ (-T): simplex intersected with its
-    reflection, in dual representation (half-space only beyond the
-    vertex-enumeration budget of d <= 6)."""
+    reflection, in dual representation (``ValueError`` beyond the
+    enumeration bound)."""
     X = simplex_vertices(d)
-    normals = np.vstack([-X, X])
-    if d > ENUM_MAX_DIM:
-        return Container.from_normals(normals)
-    return vertex_enumeration(Container.from_normals(normals), tol)
+    return vertex_enumeration(Container.from_normals(np.vstack([-X, X])), tol)
 
 
 def symmetric_counterexample(d: int, k: int, tol: Tolerance = DEFAULT_TOL) -> Container:
@@ -140,18 +124,11 @@ def symmetric_counterexample(d: int, k: int, tol: Tolerance = DEFAULT_TOL) -> Co
     coordinates: (T^k ∩ -T^k) x [-1, 1]^(d-k)."""
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-    cap = simplex_cap_neg(k, tol)
-    if k == d:
-        return cap
-    pad = d - k
-    normals = np.hstack([cap.normals, np.zeros((len(cap.normals), pad))])
-    box_normals = np.vstack([np.eye(pad), -np.eye(pad)])
-    normals = np.vstack([normals, np.hstack([np.zeros((2 * pad, k)), box_normals])])
-    corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * pad), indexing="ij")).reshape(pad, -1).T
-    vertices = np.vstack(
-        [np.hstack([np.tile(v, (len(corners), 1)), corners]) for v in cap.vertices]
-    )
-    return Container.dual_rep(normals, vertices)
+    X, pad = simplex_vertices(k), d - k
+    cap = np.hstack([np.vstack([-X, X]), np.zeros((2 * k + 2, pad))])
+    box = np.hstack([np.zeros((2 * pad, k)), np.vstack([np.eye(pad), -np.eye(pad)])])
+    normals = np.vstack([cap, box])
+    return vertex_enumeration(Container.from_normals(normals), tol)
 
 
 def standard_container(name: str, d: int) -> Container:
@@ -221,100 +198,117 @@ def random_pointset(n: int, d: int, seed: int, distribution: str = "ball-uniform
 
 
 def vertex_enumeration(C: Container, tol: Tolerance = DEFAULT_TOL) -> Container:
-    """Vertices of a small bounded H-polytope; returns the dual
-    representation.  Within the enumeration budget of d <= 6 and at most
-    40 constraints (see ``_polar_vertices``)."""
+    """Vertices of a bounded H-polytope (``_polar_vertices``), in dual
+    representation; ``ValueError`` beyond ``ENUM_BOUND``."""
     if C.normals is None:
         raise InvalidContainer("vertex enumeration needs an H-representation")
-    m, d = C.normals.shape
-    if d > ENUM_MAX_DIM:
-        raise ValueError(f"vertex enumeration supports d <= {ENUM_MAX_DIM}, got d={d}")
-    if m > ENUM_MAX_ROWS:
-        raise ValueError(f"vertex enumeration supports <= {ENUM_MAX_ROWS} constraints, got {m}")
-    return Container.dual_rep(C.normals, _polar_vertices(C.normals, tol))
+    X = _polar_vertices(C.normals, tol)
+    if X is None:
+        raise ValueError(f"vertex enumeration of {len(C.normals)} half-spaces exceeds ENUM_BOUND")
+    return Container.dual_rep(C.normals, X)
 
 
-def _subset_chunks(m: int, size: int, chunk: int | None = None):
-    """Every ``size``-subset of range(m) in lexicographic order, as index
-    arrays of at most ``chunk`` (default ``_ENUM_CHUNK``) rows, so the full
-    subset array never exists."""
-    subsets = combinations(range(m), size)
-    while True:
-        idx = np.fromiter(
-            chain.from_iterable(islice(subsets, chunk or _ENUM_CHUNK)), dtype=np.intp
-        )
-        if not idx.size:
-            return
-        yield idx.reshape(-1, size)
+def _polar_vertices(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
+    """Vertices of the bounded polyhedron {x : r.x <= 1 for every row r}
+    (a polytope's vertices from its normals, or its facets from its
+    vertices); None beyond ``ENUM_BOUND`` or past sqrt(ENUM_BOUND) of them.
+    Vertex x is the ray (t x, 1) of {(y, s) : r.y / t <= s, s >= 0}, t = max |r|."""
+    m, d = rows.shape
+    G = np.hstack([np.vstack([rows / np.abs(rows).max(), np.zeros(d)]), -np.ones((m + 1, 1))])
+    zero = _extreme_rays(G, tol)
+    if zero is None or len(zero) ** 2 > ENUM_BOUND:
+        return None
+    keys = _keys(rows, np.zeros((len(zero), m), dtype=bool), zero[:, :m])
+    return np.linalg.solve(rows[keys], np.broadcast_to(np.ones((d, 1)), (len(keys), d, 1)))[..., 0]
 
 
-def _square_solves(rows: np.ndarray, rhs: np.ndarray, transpose: bool = False):
-    """(subsets, solutions) per chunk of the square systems rows[S] x = rhs,
-    or rows[S]^T x = rhs with ``transpose``, over every len(rhs)-subset S
-    of the rows in lexicographic order.  A chunk holds as many matrix
-    entries as ``_ENUM_CHUNK`` 4x4 systems, so wider systems come in
-    fewer at a time.  A subset counts as singular, and is left out, when
-    |det| is below 1e-9 times the product of its row norms, a ratio free
-    of the data's scale."""
-    size = rows.shape[1]
-    norms = np.linalg.norm(rows, axis=1)
-    for idx in _subset_chunks(len(rows), size, max(1, _ENUM_CHUNK * 16 // size**2)):
-        M = rows[idx]
-        regular = np.abs(np.linalg.det(M)) > 1e-9 * np.prod(norms[idx], axis=1)
-        M = M[regular].transpose(0, 2, 1) if transpose else M[regular]
-        b = np.broadcast_to(rhs[:, None], (len(M), size, 1))
-        yield idx[regular], np.linalg.solve(M, b)[..., 0]
-
-
-def _first_unique(X: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Rows of X in order, without repeats on a grid of 10*tol.eq times
-    their largest coordinate."""
-    if not len(X):
-        return X
-    grid = 10.0 * tol.eq * float(np.abs(X).max())
-    _, first = np.unique(np.round(X / grid), axis=0, return_index=True)
-    return X[np.sort(first)]
-
-
-def _polar_vertices(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Vertices of the bounded polyhedron {x : r.x <= 1 for every row r}.
-
-    With the rows a polytope's unit-offset normals this gives its
-    vertices; with the rows its vertices, the vertices of the polar, which
-    are its facet normals.  Every d-subset of rows is solved as equalities
-    (``_square_solves``); feasible solutions are kept in subset order and
-    deduplicated (``_first_unique``).
-    """
-    d = rows.shape[1]
-    found = [
-        x[(x @ rows.T).max(axis=1) <= 1.0 + tol.feas] for _, x in _square_solves(rows, np.ones(d))
-    ]
-    X = _first_unique(np.concatenate(found) if found else np.zeros((0, d)), tol)
-    if len(X) < d + 1:
-        raise InvalidContainer("enumeration found too few vertices; polytope degenerate?")
-    return X
-
-
-def _facet_duals(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Vertices of {lam >= 0 : A^T lam = 0, sum(lam) = 1}, the feasible set
-    of the facet program's LP dual, for unit-offset normals A that
-    positively span.
-
-    A vertex is a basic solution: the nonnegative solution of the square
-    system [A_S, 1]^T lam_S = e_{d+1} over some (d+1)-subset S of the rows
-    (``_square_solves``).  Entries down to -tol.feas count as zero; the
-    vertices are kept in subset order and deduplicated (``_first_unique``).
-    """
+def _facet_duals(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
+    """Vertices of {lam >= 0 : A^T lam = 0, sum(lam) = 1}, the facet
+    program's dual feasible set, for unit-offset normals A that positively
+    span; None beyond ``ENUM_BOUND``.  They are N z / sum(N z) over the rays
+    z of {z : -N z <= 0}, N a null-space basis of A^T, each solved as
+    [A_S, 1]^T lam_S = e_{d+1} over its key S (holding its support), clipped at zero."""
     m, d = A.shape
-    rhs = np.zeros(d + 1)
-    rhs[d] = 1.0
-    found = []
-    for idx, lam in _square_solves(np.hstack([A, np.ones((m, 1))]), rhs, transpose=True):
-        ok = lam.min(axis=1) >= -tol.feas
-        L = np.zeros((int(ok.sum()), m))
-        np.put_along_axis(L, idx[ok], np.clip(lam[ok], 0.0, None), axis=1)
-        found.append(L)
-    L = _first_unique(np.concatenate(found) if found else np.zeros((0, m)), tol)
-    if not len(L):
-        raise InvalidContainer("facet normals admit no balancing weights: body unbounded")
+    zero = _extreme_rays(-np.linalg.svd(A.T)[2][d:].T, tol)
+    if zero is None:
+        return None
+    rows = np.hstack([A, np.ones((m, 1))])
+    keys = _keys(rows, ~zero, np.ones_like(zero))
+    rhs = np.broadcast_to(np.eye(d + 1)[d][:, None], (len(keys), d + 1, 1))
+    lam = np.linalg.solve(rows[keys].transpose(0, 2, 1), rhs)[..., 0]
+    L = np.zeros((len(keys), m))
+    np.put_along_axis(L, keys, np.clip(lam, 0.0, None), axis=1)
     return L
+
+
+def _extreme_rays(G: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
+    """The extreme rays of the pointed cone {x : G x <= 0} by double
+    description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and
+    Prodon 1996), each as its zero set: zero[r, i] when row i is tight at
+    ray r.  None beyond ``ENUM_BOUND``.  Rows join the simplicial cone of a
+    basis in index order.  Row g drops the unit rays r with g.r > tol.pivot
+    |g|.  A dropped ray and a kept one with g.r < 0 give a ray on g.x = 0
+    when adjacent, i.e. their common zero set has at least n - 2 rows and
+    lies in no other ray's; that set plus g is the new ray's zero set."""
+    m, n = G.shape
+    basis = _keys(G, np.zeros((1, m), dtype=bool), np.ones((1, m), dtype=bool))[0]
+    rays = -np.linalg.inv(G[basis]).T
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    zero = np.zeros((n, m), dtype=np.float32)  # 0/1, so products count common zeros
+    zero[:, basis] = 1.0 - np.eye(n)
+    slack = tol.pivot * np.linalg.norm(G, axis=1)
+    for i in np.setdiff1d(np.arange(m), basis, assume_unique=True):
+        s = rays @ G[i]
+        out = s > slack[i]
+        zero[~out, i] = s[~out] >= -slack[i]
+        pos, neg = out.nonzero()[0], (zero[:, i] < ~out).nonzero()[0]
+        if len(pos) * len(neg) > ENUM_BOUND:
+            return None
+        new_rays, new_zero = [rays[~out]], [zero[~out]]
+        step = _PAIR_CHUNK // (len(neg) + 1) + 1
+        for c in range(0, len(pos), step):
+            a, b = (zero[pos[c : c + step]] @ zero[neg].T >= n - 2).nonzero()
+            a, b, sub = pos[c + a], neg[b], _PAIR_CHUNK // len(rays) + 1
+            for e in range(0, len(a), sub):
+                p, q = a[e : e + sub], b[e : e + sub]
+                Z = zero[p] * zero[q]
+                adjacent = (Z @ zero.T == Z.sum(axis=1)[:, None]).sum(axis=1) == 2  # p, q only
+                p, q, Z = p[adjacent], q[adjacent], Z[adjacent]
+                r = s[p, None] * rays[q] - s[q, None] * rays[p]
+                Z[:, i] = 1.0
+                new_rays.append(r / np.sqrt(np.einsum("ij,ij->i", r, r))[:, None])
+                new_zero.append(Z)
+                if sum(map(len, new_zero)) * m > ENUM_BOUND:
+                    return None
+        rays, zero = np.concatenate(new_rays), np.concatenate(new_zero)
+    return zero > 0
+
+
+def _keys(rows: np.ndarray, forced: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Per mask row, the lexicographically first regular d-subset of rows
+    (|det| above 1e-9 times its row norms' product) holding the ``forced``
+    rows and taking the rest from the ``allowed`` ones; sorted, distinct.
+    Solved in order, they give the rows, bit for bit, of solving every
+    regular d-subset and keeping each vertex's first solution.  When the
+    first allowed rows are not regular, rows join greedily in index order
+    while the QR volume stays above 1e-9 (``det(M M^T)`` squares it)."""
+    d = rows.shape[1]
+    rank = np.where(forced, 0, np.where(allowed, 1, 2))
+    keys = np.sort(np.argsort(rank, axis=1, kind="stable")[:, :d], axis=1)
+    norms = np.linalg.norm(rows, axis=1)
+    regular = np.abs(np.linalg.det(rows[keys])) > 1e-9 * np.prod(norms[keys], axis=1)
+    bad = ~(np.take_along_axis(allowed, keys, axis=1).all(axis=1) & regular)
+    for k in np.flatnonzero(bad):
+        basis, rest = list(np.flatnonzero(forced[k])), np.flatnonzero(allowed[k] & ~forced[k])
+        while len(basis) < d and len(rest):
+            Q, R = np.linalg.qr(rows[basis].T)
+            volume = abs(np.prod(np.diag(R))) / np.prod(norms[basis])
+            dist = np.linalg.norm(rows[rest] - rows[rest] @ Q @ Q.T, axis=1)
+            j = np.flatnonzero(volume * dist > 1e-9 * norms[rest])[:1]
+            basis, rest = basis + list(rest[j]), rest[j[0] + 1 :] if len(j) else rest[:0]
+        if len(basis) != d:
+            raise InvalidContainer("enumeration met a vertex with no regular basis")
+        keys[k] = sorted(basis)
+    keys = keys[np.lexsort(keys.T[::-1])]
+    return keys[np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]]
+

@@ -18,8 +18,8 @@ solve per subset wherever a closed form applies:
   vertices lam of Lambda(C), with h_k(S) = max_{p in S} a_k.p; each
   (k+1)-subset costs one max and one matrix product.
 
-Only vertex-only containers beyond the facet budget, and facets whose
-duals are beyond it (e.g. the 5-cross-polytope), solve every
+Only containers whose facets or facet duals exceed the enumeration bound
+(``instances.ENUM_BOUND``; e.g. the 6-cross-polytope) solve every
 (k+1)-subset, skipping, for symmetric containers, the subsets whose
 pair-radius bound cannot beat the incumbent.  Ties within 1e-12 relative
 of the maximum go to the lexicographically smallest subset.  The winner
@@ -33,7 +33,7 @@ affinely dependent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Iterable, Iterator
 
@@ -55,7 +55,6 @@ from .geometry import (
     Tolerance,
     gauge,
 )
-from .instances import _subset_chunks
 from .lp import LpError
 
 __all__ = [
@@ -76,6 +75,7 @@ _TIE = 1e-12
 # weights count as nonnegative down to -_WEIGHT_SLACK
 _SINGULAR = 1e-10
 _WEIGHT_SLACK = 1e-12
+_CHUNK = 2048  # subsets per chunk of a value stream
 
 
 class BudgetExceeded(RuntimeError):
@@ -188,6 +188,18 @@ def _proved(P: PointSet, C: Container, k: int, best, tol: Tolerance) -> CoreRadi
 
 
 # -- value streams: (subsets, values) per chunk, subsets in lex order ---------
+
+
+def _subset_chunks(m: int, size: int):
+    """Every ``size``-subset of range(m) in lexicographic order, as index
+    arrays of at most ``_CHUNK`` rows, so the full subset array never
+    exists."""
+    subsets = combinations(range(m), size)
+    while True:
+        idx = np.fromiter(chain.from_iterable(islice(subsets, _CHUNK)), dtype=np.intp)
+        if not idx.size:
+            return
+        yield idx.reshape(-1, size)
 
 
 def _face_radii(X: np.ndarray, size: int):

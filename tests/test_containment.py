@@ -51,6 +51,21 @@ def cube_vertices(d: int) -> np.ndarray:
     return np.array(np.meshgrid(*([[-1.0, 1.0]] * d), indexing="ij")).reshape(d, -1).T
 
 
+def linprog_vertex_program(scipy_opt, P: PointSet, V: np.ndarray) -> float:
+    """min t s.t. p_i = c + sum_j mu_ij v_j, sum_j mu_ij <= t, mu >= 0, by HiGHS."""
+    n, d = P.points.shape
+    m = len(V)
+    eq = np.hstack([np.tile(np.eye(d), (n, 1)), np.zeros((n * d, 1)), np.kron(np.eye(n), V.T)])
+    ub = np.hstack([np.zeros((n, d)), -np.ones((n, 1)), np.kron(np.eye(n), np.ones(m))])
+    ref = scipy_opt.linprog(
+        np.r_[np.zeros(d), 1.0, np.zeros(n * m)], A_ub=ub, b_ub=np.zeros(n),
+        A_eq=eq, b_eq=P.points.ravel(), bounds=[(None, None)] * (d + 1) + [(0, None)] * (n * m),
+        method="highs",
+    )
+    assert ref.status == 0
+    return float(ref.fun)
+
+
 def difference_body(d: int) -> np.ndarray:
     """Vertices x - y (x != y) of T - T for the regular simplex T."""
     X = regular_simplex(d)[0].points
@@ -222,6 +237,25 @@ class TestInvariances:
         assert image.rho == pytest.approx(base.rho, rel=1e-9)
         make_certificate(AP, AC, image)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["box", "cross", "cap", "negT", "prism"]),
+        st.integers(2, 5),
+        st.integers(0, 10_000),
+    )
+    def test_h_v_and_dual_forms_agree(self, tag, d, seed):
+        C = symmetric_counterexample(d, 2) if tag == "prism" else corpus_container(tag, d)
+        V = Container.from_vertices(C.vertices)
+        assert _same_point_set(V.facets, np.asarray(C.normals), 1e-9)
+        P = random_pointset(8, d, seed=seed, distribution="gauss")
+        rho = min_containment(P, C).rho
+        for other in (
+            min_containment(P, Container.from_normals(C.normals)),
+            min_containment(P, V),
+            min_containment(P, C, method="vrep"),
+        ):
+            assert other.rho == pytest.approx(rho, rel=1e-6)
+
     def test_hrep_vrep_agree(self):
         for seed in range(10):
             d = 2 + seed % 3
@@ -233,8 +267,8 @@ class TestInvariances:
 
 
 class TestDerivedFacetSolves:
-    """Vertex-only containers within the facet budget take the facet
-    program; beyond it the vertex program."""
+    """Vertex-only containers whose facets are within the enumeration
+    bound take the facet program; beyond it the vertex program."""
 
     def test_auto_matches_vrep_on_redundant_vertex_lists(self):
         rng = np.random.default_rng(61)
@@ -260,23 +294,62 @@ class TestDerivedFacetSolves:
                 assert auto.rho == pytest.approx(ref.rho, abs=1e-6)
                 assert auto.active_normals  # facet path: rows of C.facets
 
-    def test_six_cube_takes_vertex_program(self):
-        C = Container.from_vertices(cube_vertices(6))
+    def test_beyond_the_bound_takes_vertex_program(self, sphere_polytope):
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        C = sphere_polytope
         assert C.facets is None
-        P = random_pointset(6, 6, seed=83, distribution="gauss")
+        P = random_pointset(6, 8, seed=83, distribution="gauss")
         sol = min_containment(P, C)
         assert sol.active_normals == ()  # vertex program
-        box = standard_container("box", 6)
-        assert sol.rho == pytest.approx(min_containment(P, box).rho, abs=1e-6)
+        ref = linprog_vertex_program(scipy_opt, P, np.asarray(C.vertices))
+        assert sol.rho == pytest.approx(ref, rel=1e-6)
         cert = make_certificate(P, C, sol)
         assert np.max(np.abs(cert.lam @ cert.normals)) <= 1e-6
         for p, a in zip(cert.touch_points, cert.normals):
             assert a @ (p - sol.center) / sol.rho == pytest.approx(1.0, abs=1e-5)
 
-    def test_six_cube_suboptimal_candidate_is_separated(self):
+    def test_six_cube_takes_facet_program(self, monkeypatch):
+        # its 12 facets come from double description: one LP for the solve
+        # and one for the certificate, and no gauge LP per point
+        from homothetics import lp
+
+        solve, calls = lp.solve_lp, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        C = Container.from_vertices(cube_vertices(6))
+        assert _same_point_set(C.facets, standard_container("box", 6).normals, 1e-12)
+        P = random_pointset(20, 6, seed=83, distribution="gauss")
+        monkeypatch.setattr(lp, "solve_lp", counting)
+        monkeypatch.setattr(containment, "solve_lp", counting)
+        sol = min_containment(P, C)
+        make_certificate(P, C, sol)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        box = standard_container("box", 6)
+        assert sol.rho == pytest.approx(min_containment(P, box).rho, rel=1e-12)
+
+    def test_suboptimal_candidate_beyond_the_bound_is_separated(self, sphere_polytope):
         # a feasible candidate off the optimum: the fresh vertex-program
         # solve has a smaller rho, so the normals come from the polar
         # support of each touching point, and they certify "separated"
+        C = sphere_polytope
+        P = random_pointset(6, 8, seed=83, distribution="gauss")
+        sol = min_containment(P, C)
+        center = sol.center + 0.05 * sol.rho * np.eye(8)[0]
+        rho = max(gauge(C, p - center) for p in P.points)
+        assert rho > sol.rho * (1.0 + 1e-3)
+        with pytest.raises(NotOptimalError) as err:
+            make_certificate(P, C, Solution(rho, center, (), (), sol.duals))
+        assert err.value.reason == "separated"
+        shifted = center - 1e-3 * err.value.direction
+        assert max(gauge(C, p - shifted) for p in P.points) < rho
+
+    def test_six_cube_suboptimal_candidate_is_separated(self):
+        # a feasible candidate off the optimum: the normals of the facets
+        # it touches certify "separated"
         C = Container.from_vertices(cube_vertices(6))
         P = random_pointset(6, 6, seed=83, distribution="gauss")
         sol = min_containment(P, C)
@@ -310,18 +383,22 @@ class TestDerivedFacetSolves:
 
 
 class TestCoverCheck:
-    @pytest.mark.parametrize("tag", ["ball", "box-V", "cube6-V"])
-    def test_shrunk_rho_raises(self, tag):
-        # every solve is judged by its gauges; the vertex-only 6-cube's
-        # come from the polar program, one per point
-        d = 6 if tag == "cube6-V" else 3
+    @pytest.mark.parametrize("tag", ["ball", "box-V", "cube6-V", "sphere8-V"])
+    def test_shrunk_rho_raises(self, tag, sphere_polytope):
+        # every solve is judged by its gauges; those of a vertex-only body
+        # beyond the enumeration bound come from the polar program, one
+        # per point
+        d = {"ball": 3, "box-V": 3, "cube6-V": 6, "sphere8-V": 8}[tag]
         P = random_pointset(8, d, seed=97, distribution="gauss")
         tol = DEFAULT_TOL
         if tag == "ball":
             C = Container.ball(d)
+        elif tag == "sphere8-V":
+            C = sphere_polytope
+            assert C.facets is None
         else:
             C = Container.from_vertices(cube_vertices(d))
-            assert (C.facets is None) == (tag == "cube6-V")
+            assert C.facets is not None
         sol = min_containment(P, C)
         gauges = all_gauges(P, C, sol.center, tol)
         _verify_cover(gauges, sol.rho, sol.center, tol)
@@ -614,10 +691,10 @@ class TestPolytopeScale:
     @given(st.floats(-9.0, 3.0), st.floats(-3.0, 3.0), st.integers(0, 10_000))
     @example(-9.0, -3.0, 0)
     @example(-8.0, 3.0, 1)
-    def test_vertex_program(self, log_sigma, log_shift, seed):
-        C = Container.from_vertices(cube_vertices(6))
+    def test_vertex_program(self, sphere_polytope, log_sigma, log_shift, seed):
+        C = sphere_polytope
         assert C.facets is None
-        P = random_pointset(8, 6, seed=seed, distribution="gauss")
+        P = random_pointset(8, 8, seed=seed, distribution="gauss")
         self._check(P, C, log_sigma, log_shift, seed)
 
 

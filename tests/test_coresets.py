@@ -221,14 +221,21 @@ class TestBoxAmbiguity:
         # below R(S) = 1 the pair has no center at all
         assert _find_covering_center(P, box, pair, 0.9, 0.0, DEFAULT_TOL) is None
 
-    def test_six_cube_vertex_program_search(self):
-        # beyond the facet budget the center search runs on the vertex program
-        P = box_ambiguity_instance(6, 0.5)
-        cube = Container.from_vertices(np.array(list(product((-1.0, 1.0), repeat=6))))
-        assert cube.facets is None
-        pair = [10, 11]
-        assert validate_coreset(P, cube, pair, 0.0, require_center_conform=True)
-        assert not validate_coreset(P, cube, pair, 0.0, require_center_conform=True, fixed_center=True)
+    def test_prism_vertex_program_search(self):
+        # beyond the enumeration bound the center search runs on the vertex
+        # program.  In the prism K x [-1, 1], K the hull of 40 points v_j on
+        # the sphere in R^7, the pair +-e_8 has radius one about every
+        # center in -K x {0}; c = (-v_0/2, 0) also covers the points
+        # c + (v_j, 0), and the pair's own center does not
+        V = random_pointset(40, 7, seed=1, distribution="sphere").points
+        prism = Container.from_vertices(np.block([[V, -np.ones((40, 1))], [V, np.ones((40, 1))]]))
+        assert prism.facets is None
+        e = np.eye(8)[7]
+        c = np.append(-0.5 * V[0], 0.0)
+        P = PointSet(np.vstack([e, -e, c + np.hstack([V[:5], np.zeros((5, 1))])]))
+        pair = [0, 1]
+        assert validate_coreset(P, prism, pair, 0.0, require_center_conform=True)
+        assert not validate_coreset(P, prism, pair, 0.0, require_center_conform=True, fixed_center=True)
 
     def test_tau_zero_instance(self):
         P = box_ambiguity_instance(2, 0.0)

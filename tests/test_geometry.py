@@ -185,13 +185,17 @@ class TestGauge:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(-9.0, 3.0))
     @example(0, -9.0)
-    def test_polar_program_scale_free(self, seed, log_scale):
-        # the vertex-only 6-cube, whose gauge is the max norm
-        C = Container.from_vertices(np.array(np.meshgrid(*([[-1.0, 1.0]] * 6))).reshape(6, -1).T)
+    def test_polar_program_scale_free(self, sphere_polytope, seed, log_scale):
+        # a vertex-only body beyond the enumeration bound, against the
+        # gauge min sum(mu) s.t. V^T mu = x, mu >= 0 by HiGHS
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        C = sphere_polytope
         assert C.facets is None
         s = 10.0**log_scale
-        x = np.random.default_rng(seed).standard_normal(6)
-        assert gauge(C, x) == pytest.approx(np.max(np.abs(x)), rel=1e-9)
+        x = np.random.default_rng(seed).standard_normal(8)
+        V = np.asarray(C.vertices)
+        ref = scipy_opt.linprog(np.ones(len(V)), A_eq=V.T, b_eq=x, method="highs")
+        assert gauge(C, x) == pytest.approx(ref.fun, rel=1e-9)
         assert gauge(C, s * x) == pytest.approx(s * gauge(C, x), rel=1e-9)
 
     def test_polar_program_unbounded_outside_the_cone(self):
@@ -286,14 +290,18 @@ class TestDerivedFacets:
         assert C.facets is C.normals
         assert Container.ball(3).facets is None
 
-    def test_beyond_budget_is_none(self):
-        corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * 6), indexing="ij")).reshape(6, -1).T
-        assert Container.from_vertices(corners).facets is None  # 64 vertex rows
-        # 40 rows in d=6, but C(40, 6) = 3 838 380 subsets
-        V = np.random.default_rng(5).standard_normal((40, 6))
-        assert Container.from_vertices(V).facets is None
-        # the 5-cube's C(32, 5) = 201 376 subsets are within the budget
-        assert Container.from_vertices(corners[:32, 1:]).facets.shape == (10, 5)
+    def test_beyond_budget_is_none(self, sphere_polytope):
+        assert sphere_polytope.facets is None
+        # the vertex-only cross-polytope has 2^d facets: kept up to
+        # sqrt(ENUM_BOUND) = 1024, as rows of the facet program
+        cross = [Container.from_vertices(np.vstack([np.eye(d), -np.eye(d)])) for d in (10, 11)]
+        assert cross[0].facets.shape == (1024, 10) and cross[1].facets is None
+        # the 5-, 6- and 8-cubes, with 32, 64 and 256 vertex rows, are within
+        # the enumeration bound
+        for d in (5, 6, 8):
+            corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * d), indexing="ij")).reshape(d, -1).T
+            facets = Container.from_vertices(corners).facets
+            assert _same_point_set(facets, np.vstack([np.eye(d), -np.eye(d)]), 1e-12)
 
     def test_json_unchanged(self):
         C = Container.from_vertices(standard_container("box", 3).vertices)
@@ -352,7 +360,7 @@ class TestFacetDuals:
     @pytest.mark.parametrize(
         "name, d, count",
         [("box", 4, 4), ("negT", 4, 1), ("cap", 3, 6), ("cap", 4, 7), ("cap", 5, 8),
-         ("cross", 3, 6), ("cross", 4, 48)],
+         ("cross", 3, 6), ("cross", 4, 48), ("cross", 5, 2712)],
     )
     def test_vertex_counts(self, name, d, count):
         L = _dual_body(name, d).facet_duals
@@ -361,12 +369,33 @@ class TestFacetDuals:
         assert np.allclose(L.sum(axis=1), 1.0, atol=1e-12)
         assert np.abs(L @ _dual_body(name, d).facets).max() <= 1e-12
 
-    def test_none_without_facets_or_beyond_budget(self):
+    def test_none_without_facets_or_beyond_budget(self, sphere_polytope):
         assert Container.ball(3).facet_duals is None
-        corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * 6), indexing="ij")).reshape(6, -1).T
-        assert Container.from_vertices(corners).facet_duals is None  # no facets
-        # the 5-cross-polytope's 32 facets have C(32, 6) = 906 192 6-subsets
-        assert standard_container("cross", 5).facet_duals is None
+        assert sphere_polytope.facet_duals is None  # no facets
+        # double description on the 62 facets of T - T in R^5 and the 64 of
+        # the 6-cross-polytope would pair 4.8 million rays at one step
+        assert _dual_body("T-T", 5).facet_duals is None
+        assert standard_container("cross", 6).facet_duals is None
+
+    @pytest.mark.parametrize("name", ["T-T", "cross"])
+    def test_beyond_the_bound_stops_early(self, name):
+        import time
+        import tracemalloc
+
+        from homothetics.instances import _facet_duals
+
+        body = _dual_body("T-T", 5) if name == "T-T" else standard_container("cross", 6)
+        A = np.asarray(body.facets)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            assert _facet_duals(A) is None
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 10.0
+        assert peak < 64 * 2**20
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -375,19 +404,16 @@ class TestFacetDuals:
         st.integers(0, 2**32 - 1),
         st.floats(-3.0, 3.0),
     )
-    @example("T-T", 4, 0, 0.0)  # 30 facets, C(30, 5) = 142 506 subsets
-    @example("T-T", 5, 0, 0.0)  # 62 facets: beyond the budget
+    @example("T-T", 4, 0, 0.0)  # 30 facets, 1291 vertices
+    @example("T-T", 5, 0, 0.0)  # 62 facets: beyond the bound
     @example("prism", 5, 1, -3.0)
     def test_max_over_vertices_is_the_facet_program(self, name, d, seed, log_scale):
-        from math import comb
-
         from homothetics.containment import _facet_program
-        from homothetics.instances import FACETS_MAX_SUBSETS
 
         C = _dual_body(name, d)
         A = C.facets
         if C.facet_duals is None:
-            assert comb(len(A), d + 1) > FACETS_MAX_SUBSETS  # only beyond the budget
+            assert (name, d) == ("T-T", 5)  # the only body beyond the bound
             return
         scale = 10.0**log_scale
         h = np.random.default_rng(seed).standard_normal(len(A)) * scale

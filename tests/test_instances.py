@@ -1,9 +1,11 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from homothetics import DEFAULT_TOL, Container, InvalidContainer, gauge, pointset_to_json, reflect
+from homothetics.geometry import _same_point_set
 from homothetics.instances import (
     InstanceSpec,
     box_ambiguity_instance,
@@ -14,6 +16,7 @@ from homothetics.instances import (
     standard_container,
     symmetric_counterexample,
     vertex_enumeration,
+    _facet_duals,
     _polar_vertices,
 )
 
@@ -62,9 +65,14 @@ class TestCap:
             C = simplex_cap_neg(d)
             assert C.is_symmetric()
 
-    def test_large_dim_hpoly_only(self):
+    def test_large_dim_vertices(self):
+        # the vertices of T cap -T in R^7 are the 70 sums of four of the
+        # simplex vertices x_i, divided by four
         C = simplex_cap_neg(7)
-        assert C.vertices is None and len(C.normals) == 16
+        X = simplex_vertices(7)
+        sums = np.array([X[list(s)].sum(axis=0) / 4 for s in combinations(range(8), 4)])
+        assert C.vertices.shape == (70, 7)
+        assert _same_point_set(np.asarray(C.vertices), sums, 1e-9)
 
 
 class TestPrism:
@@ -165,29 +173,57 @@ def _loop_polar_vertices(rows: np.ndarray, tol=DEFAULT_TOL) -> np.ndarray:
     return np.array(out)
 
 
+def _loop_facet_duals(A: np.ndarray, tol=DEFAULT_TOL) -> np.ndarray:
+    """Reference: one np.linalg.solve of [A_S, 1]^T lam = e_{d+1} per
+    (d+1)-subset S whose |det| exceeds 1e-9 times its row norms' product,
+    kept in subset order when lam >= -tol.feas, deduplicated pairwise."""
+    m, d = A.shape
+    rows = np.hstack([A, np.ones((m, 1))])
+    out: list[np.ndarray] = []
+    for sub in combinations(range(m), d + 1):
+        M = rows[list(sub)]
+        if abs(np.linalg.det(M)) <= 1e-9 * np.prod(np.linalg.norm(M, axis=1)):
+            continue
+        lam = np.linalg.solve(M.T, np.eye(d + 1)[d])
+        if lam.min() < -tol.feas:
+            continue
+        L = np.zeros(m)
+        L[list(sub)] = np.clip(lam, 0.0, None)
+        if not any(np.max(np.abs(L - v)) <= 10 * tol.eq for v in out):
+            out.append(L)
+    return np.array(out)
+
+
+_LOOP_BODIES = (
+    standard_container("box", 3),
+    standard_container("cross", 4),
+    reflect(regular_simplex(4)[1]),
+    simplex_cap_neg(3),
+    simplex_cap_neg(5),
+    symmetric_counterexample(4, 2),
+)
+
+
 class TestVertexEnumeration:
     def test_batched_matches_loop(self):
-        for C in (
-            standard_container("box", 3),
-            standard_container("cross", 4),
-            reflect(regular_simplex(4)[1]),
-            simplex_cap_neg(3),
-            simplex_cap_neg(5),
-            symmetric_counterexample(4, 2),
-        ):
+        for C in _LOOP_BODIES:
             for rows in (C.normals, C.vertices):  # H -> vertices, V -> facets
                 got = _polar_vertices(np.asarray(rows))
-                ref = _loop_polar_vertices(np.asarray(rows))
-                assert got.shape == ref.shape
-                assert np.allclose(got, ref, atol=1e-12)
+                assert np.array_equal(got, _loop_polar_vertices(np.asarray(rows)))
+
+    def test_facet_duals_match_loop(self):
+        for C in _LOOP_BODIES:
+            A = np.asarray(C.normals)
+            assert np.array_equal(_facet_duals(A), _loop_facet_duals(A))
 
     def test_chunk_boundaries(self, monkeypatch):
         import homothetics.instances as instances
 
-        rows = standard_container("box", 4).vertices
-        whole = _polar_vertices(rows)
-        monkeypatch.setattr(instances, "_ENUM_CHUNK", 7)
-        assert np.array_equal(_polar_vertices(rows), whole)
+        rows, A = standard_container("box", 4).vertices, standard_container("cross", 4).normals
+        whole = _polar_vertices(rows), _facet_duals(A)
+        monkeypatch.setattr(instances, "_PAIR_CHUNK", 7)
+        assert np.array_equal(_polar_vertices(rows), whole[0])
+        assert np.array_equal(_facet_duals(A), whole[1])
 
     def test_box_round_trip(self):
         hrep = Container.from_normals(standard_container("box", 2).normals)
@@ -212,9 +248,12 @@ class TestVertexEnumeration:
             vertex_enumeration(Container.from_vertices(simplex_vertices(2)))
 
     def test_dimension_cap(self):
-        X = simplex_vertices(7)
-        with pytest.raises(ValueError):
-            vertex_enumeration(Container.from_normals(np.vstack([-X, X])))
+        # T cap -T has 2772 vertices in R^10, more than sqrt(ENUM_BOUND); in
+        # R^12 double description exceeds ENUM_BOUND itself
+        for d in (10, 12):
+            X = simplex_vertices(d)
+            with pytest.raises(ValueError):
+                vertex_enumeration(Container.from_normals(np.vstack([-X, X])))
 
     def test_generated_containers_valid(self):
         # every generator output passes container validation on construction;

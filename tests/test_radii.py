@@ -395,22 +395,27 @@ class TestCoreRadii:
 
 
 class TestSubsetLoop:
-    """Containers without facet duals within budget solve every subset."""
+    """Containers without facet duals within the enumeration bound solve
+    every subset."""
 
-    def test_vertex_only_six_cube_matches_its_facets(self):
-        corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * 6), indexing="ij")).reshape(6, -1).T
-        cube = Container.from_vertices(corners)
-        assert cube.facets is None
-        P = random_pointset(7, 6, seed=41)
-        loop = core_radius(P, cube, 2)
-        closed = core_radius(P, standard_container("box", 6), 2)
-        assert loop.value == pytest.approx(closed.value, rel=1e-9)
-        assert loop.witness == closed.witness
+    def test_vertex_only_loop_matches_every_subset(self, sphere_polytope):
+        C = sphere_polytope
+        assert C.facets is None and not C.is_symmetric()
+        P = random_pointset(7, 8, seed=41)
+        res = core_radius(P, C, 2)
+        values = {s: min_containment(P.subset(s), C).rho for s in combinations(range(7), 3)}
+        top = max(values.values())
+        assert res.value == pytest.approx(top, rel=1e-9)
+        first = min(s for s, v in values.items() if v >= top * (1 - 1e-12))
+        assert res.witness == _reduced(P, C, first)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_pruned_loop_on_the_five_cross_polytope(self, k):
-        C = standard_container("cross", 5)
-        assert C.facet_duals is None  # C(32, 6) = 906 192 subsets
+        # with each facet normal listed twice, Lambda over the 64 rows
+        # exceeds the enumeration bound
+        cross = standard_container("cross", 5)
+        C = Container.dual_rep(np.vstack([cross.normals, cross.normals]), cross.vertices)
+        assert C.facet_duals is None and C.is_symmetric()
         P = random_pointset(11, 5, seed=43, distribution="gauss")
         res = core_radius(P, C, k)
         values = {s: min_containment(P.subset(s), C).rho for s in combinations(range(11), k + 1)}
@@ -418,6 +423,9 @@ class TestSubsetLoop:
         assert res.value == pytest.approx(top, rel=1e-9)
         first = min(s for s, v in values.items() if v >= top * (1 - 1e-12))
         assert res.witness == _reduced(P, C, first)
+        # the 5-cross-polytope itself takes the closed form over its 2712
+        # facet duals
+        assert core_radius(P, cross, k).value == pytest.approx(res.value, rel=1e-9)
 
 
 def _reduced(P, C, subset):
