@@ -10,12 +10,11 @@ certificate and the core-set center search:
   containment h_k = max_i a_k.p_i, since only the outermost point per
   facet can bind; each facet weight goes to the lowest-index point
   attaining h_k, giving the point weights.  Every polytope with normals
-  takes it, and so does every vertex-only container whose facets, the
-  vertices of its polar, are enumerated once by double description
-  within its bound (``instances.ENUM_BOUND``).
+  takes it, and so does a vertex-only container with derived facets
+  (``Container.facets``) while they are few enough (``_facet_rows``).
 - vertex program (vertices v_j): p_i = c + sum_j mu_ij v_j with
   sum_j mu_ij = t; its duals give a weight and a supporting normal per
-  point.  It solves vertex-only containers beyond that bound, and
+  point.  It solves the other vertex-only containers, and
   ``method="vrep"`` forces it as the cross-check reference.
 
 Both programs are solved relative to the first point at unit spread
@@ -163,11 +162,10 @@ def min_containment(
     """Least rho with P inside some translate of rho*C.
 
     method: "auto" takes the exact ball solver for balls, the facet
-    program whenever ``C.facets`` exists (given normals, or facets derived
-    from the vertices within the enumeration bound) and the vertex program
-    for vertex-only containers beyond it; "hrep"/"vrep" force a
-    polytope formulation (useful for cross-checks).  Every solution is
-    checked to cover P before it is returned; ``LpError`` otherwise.
+    program where ``_facet_rows`` gives facets and the vertex program
+    otherwise; "hrep"/"vrep" force a polytope formulation (useful for
+    cross-checks).  Every solution is checked to cover P before it is
+    returned; ``LpError`` otherwise.
     """
     _check_dims(P, C)
     if len(P) == 1:
@@ -178,7 +176,7 @@ def min_containment(
     if method == "auto":
         if C.kind is ContainerKind.BALL:
             return _solve_ball(P, C, tol)
-        method = "hrep" if C.facets is not None else "vrep"
+        method = "hrep" if _facet_rows(C, len(P)) is not None else "vrep"
     if method == "hrep":
         if C.facets is None:
             raise ValueError("hrep method needs container facets")
@@ -188,6 +186,16 @@ def min_containment(
             raise ValueError("vrep method needs container vertices")
         return _solve_vrep(P, C, tol)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _facet_rows(C: Container, n: int) -> np.ndarray | None:
+    """``C.facets`` if given, or if derived and at most 4 n (d+1): four
+    times the vertex program's rows for n points, about where the facet
+    program's dense m x m basis makes it the slower LP; else None."""
+    A = C.facets
+    if A is None or C.normals is not None or len(A) <= 4 * n * (C.dim + 1):
+        return A
+    return None
 
 
 def _solve_ball(P: PointSet, C: Container, tol: Tolerance) -> Solution:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .containment import (
     _facet_program,
+    _facet_rows,
     _roundoff,
     _slack,
     _vertex_program,
@@ -178,20 +179,21 @@ def _find_covering_center(
     gauge(p - c) <= (1+eps) radius on all of P, or None; C is a polytope.
 
     Both conditions become one containment program: the facet program
-    with h_k the larger of the two per-facet maxima, or the vertex
-    program with offsets radius on S and (1+eps) radius on P.  Its value
-    t is the largest violation, so near-ties within tol.feas relative to
-    (1+eps) radius, or within the round-off of P's coordinates, are
-    accepted.
+    with h_k the larger of the two per-facet maxima (``_facet_rows``), or
+    the vertex program with offsets radius on S and (1+eps) radius on P.
+    Its value t is the largest violation, so near-ties within tol.feas
+    relative to (1+eps) radius, or within the round-off of P's
+    coordinates, are accepted.
     """
     allowed = (1.0 + eps) * radius
     slack = max(tol.feas * allowed, _roundoff(P.points))
-    if C.facets is not None:
+    A = _facet_rows(C, len(idx) + len(P))
+    if A is not None:
         # relative to the first point, added back to the center
         origin = P.points[0]
-        prods = (P.points - origin) @ C.facets.T
+        prods = (P.points - origin) @ A.T
         h = np.maximum(prods[idx].max(axis=0) - radius, prods.max(axis=0) - allowed)
-        t, center, _ = _facet_program(C.facets, h, tol)
+        t, center, _ = _facet_program(A, h, tol)
         center = origin + center
     else:
         pts = np.vstack([P.points[idx], P.points])

@@ -135,7 +135,8 @@ class Container:
     vertices of the polar {a : a.v <= 1}, enumerated by double description
     once, on first access, and cached.  It is None for balls and for
     vertex-only containers whose enumeration exceeds the bound
-    (``instances.ENUM_BOUND``), which are solved through their vertices.
+    (``instances.ENUM_BOUND``), which are solved through their vertices
+    (as are too many derived facets: ``containment._facet_rows``).
     """
 
     dim: int

@@ -30,10 +30,10 @@ __all__ = [
     "vertex_enumeration",
 ]
 
-# Double description (``_extreme_rays``) gives up once a step would test more
-# than ENUM_BOUND pairs of rays or hold more than ENUM_BOUND zero-set entries;
-# past sqrt(ENUM_BOUND) vertices or facets are not kept, each being a row of
-# LPs with a dense basis inverse.  The pair test runs in _PAIR_CHUNK chunks.
+# Double description (``_extreme_rays``) gives up past ENUM_BOUND zero-set
+# entries in a step or 16 ENUM_BOUND pair tests in all, and keeps at most
+# sqrt(ENUM_BOUND) vertices or facets (m facets give ``_facet_duals`` an
+# m x m null-space basis).  The pair test runs in _PAIR_CHUNK chunks.
 ENUM_BOUND = 1 << 20
 _PAIR_CHUNK = 1 << 18
 
@@ -113,22 +113,34 @@ def regular_simplex(d: int) -> tuple[PointSet, Container]:
 
 def simplex_cap_neg(d: int, tol: Tolerance = DEFAULT_TOL) -> Container:
     """The symmetric body T ∩ (-T): simplex intersected with its
-    reflection, in dual representation (``ValueError`` beyond the
-    enumeration bound)."""
+    reflection, in dual representation, or half-space only when it has
+    more vertices than the enumeration bound keeps (d = 10 and d >= 12)."""
     X = simplex_vertices(d)
-    return vertex_enumeration(Container.from_normals(np.vstack([-X, X])), tol)
+    H = Container.from_normals(np.vstack([-X, X]))
+    try:
+        return vertex_enumeration(H, tol)
+    except InvalidContainer:
+        raise
+    except ValueError:  # beyond ENUM_BOUND
+        return H
 
 
 def symmetric_counterexample(d: int, k: int, tol: Tolerance = DEFAULT_TOL) -> Container:
     """Prism over the k-dimensional T ∩ (-T), boxed in the remaining
-    coordinates: (T^k ∩ -T^k) x [-1, 1]^(d-k)."""
+    coordinates: (T^k ∩ -T^k) x [-1, 1]^(d-k); half-space only when the
+    cap is."""
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-    X, pad = simplex_vertices(k), d - k
-    cap = np.hstack([np.vstack([-X, X]), np.zeros((2 * k + 2, pad))])
-    box = np.hstack([np.zeros((2 * pad, k)), np.vstack([np.eye(pad), -np.eye(pad)])])
-    normals = np.vstack([cap, box])
-    return vertex_enumeration(Container.from_normals(normals), tol)
+    cap, pad = simplex_cap_neg(k, tol), d - k
+    if k == d:
+        return cap
+    box = np.vstack([np.eye(pad), -np.eye(pad)])
+    normals = np.block([[cap.normals, np.zeros((len(cap.normals), pad))], [np.zeros((2 * pad, k)), box]])
+    if cap.vertices is None:
+        return Container.from_normals(normals)
+    corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * pad), indexing="ij")).reshape(pad, -1).T
+    V = np.repeat(cap.vertices, len(corners), axis=0)
+    return Container.dual_rep(normals, np.hstack([V, np.tile(corners, (len(cap.vertices), 1))]))
 
 
 def standard_container(name: str, d: int) -> Container:
@@ -225,11 +237,12 @@ def _polar_vertices(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
 def _facet_duals(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     """Vertices of {lam >= 0 : A^T lam = 0, sum(lam) = 1}, the facet
     program's dual feasible set, for unit-offset normals A that positively
-    span; None beyond ``ENUM_BOUND``.  They are N z / sum(N z) over the rays
-    z of {z : -N z <= 0}, N a null-space basis of A^T, each solved as
-    [A_S, 1]^T lam_S = e_{d+1} over its key S (holding its support), clipped at zero."""
+    span; None beyond ``ENUM_BOUND`` or sqrt(ENUM_BOUND) rows.  They are
+    N z / sum(N z) over the rays z of {z : -N z <= 0}, N a null-space basis
+    of A^T, each solved as [A_S, 1]^T lam_S = e_{d+1} over its key S
+    (holding its support), clipped at zero."""
     m, d = A.shape
-    zero = _extreme_rays(-np.linalg.svd(A.T)[2][d:].T, tol)
+    zero = None if m * m > ENUM_BOUND else _extreme_rays(-np.linalg.svd(A.T)[2][d:].T, tol)
     if zero is None:
         return None
     rows = np.hstack([A, np.ones((m, 1))])
@@ -256,13 +269,14 @@ def _extreme_rays(G: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | N
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
     zero = np.zeros((n, m), dtype=np.float32)  # 0/1, so products count common zeros
     zero[:, basis] = 1.0 - np.eye(n)
-    slack = tol.pivot * np.linalg.norm(G, axis=1)
+    slack, tests = tol.pivot * np.linalg.norm(G, axis=1), 0
     for i in np.setdiff1d(np.arange(m), basis, assume_unique=True):
         s = rays @ G[i]
         out = s > slack[i]
         zero[~out, i] = s[~out] >= -slack[i]
         pos, neg = out.nonzero()[0], (zero[:, i] < ~out).nonzero()[0]
-        if len(pos) * len(neg) > ENUM_BOUND:
+        tests += len(pos) * len(neg)
+        if tests > 16 * ENUM_BOUND:
             return None
         new_rays, new_zero = [rays[~out]], [zero[~out]]
         step = _PAIR_CHUNK // (len(neg) + 1) + 1

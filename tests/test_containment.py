@@ -5,7 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homothetics import DEFAULT_TOL, Container, DimensionMismatch, PointSet, gauge, reflect
+from homothetics import (
+    DEFAULT_TOL,
+    Container,
+    ContainerKind,
+    DimensionMismatch,
+    PointSet,
+    gauge,
+    reflect,
+)
 from homothetics import containment
 from homothetics.containment import (
     NotOptimalError,
@@ -380,6 +388,59 @@ class TestDerivedFacetSolves:
         assert calls == []
         min_containment(P.subset(range(6)), C, method="vrep")  # the patch is live
         assert calls == [1]
+
+    def test_many_derived_facets_take_vertex_program_for_few_points(self, monkeypatch):
+        # the prism over 20 points on the sphere in R^7: 40 vertices and 666
+        # facets.  Beyond four times the vertex program's n (d+1) rows the
+        # facet program's dense 666 x 666 basis makes it the slower LP.
+        from homothetics.coresets import validate_coreset
+
+        S = random_pointset(20, 7, seed=1, distribution="sphere").points
+        C = Container.from_vertices(np.vstack([np.hstack([S, np.full((20, 1), s)]) for s in (-1, 1)]))
+        assert C.facets.shape == (666, 8)
+        solve, rows = containment.solve_lp, []
+
+        def counting(prog, *args, **kwargs):
+            rows.append(len(prog.rhs))
+            return solve(prog, *args, **kwargs)
+
+        monkeypatch.setattr(containment, "solve_lp", counting)
+        few, many = (random_pointset(n, 8, seed=5, distribution="gauss") for n in (4, 20))
+        sol = min_containment(few, C)
+        assert rows == [4 * 9] and sol.active_normals == ()
+        rows.clear()
+        assert min_containment(many, C).active_normals and rows == [666]  # 666 <= 4 * 20 * 9
+        rows.clear()
+        e, c = np.eye(8)[7], np.append(-0.5 * S[0], 0.0)
+        P = PointSet(np.vstack([e, -e, c + np.hstack([S[:5], np.zeros((5, 1))])]))
+        assert validate_coreset(P, C, [0, 1], 0.0, require_center_conform=True)
+        assert rows and max(rows) < 666
+        monkeypatch.undo()
+        assert sol.rho == pytest.approx(min_containment(few, C, method="hrep").rho, rel=1e-9)
+        make_certificate(few, C, sol)
+
+
+class TestGeneratedBeyondTheBound:
+    """Generated containers whose vertices exceed the enumeration bound keep
+    their half-spaces and still solve."""
+
+    def test_cap_is_half_space_only(self):
+        C = simplex_cap_neg(10)  # 2772 vertices
+        assert C.kind is ContainerKind.HPOLY and C.vertices is None
+        P = random_pointset(12, 10, seed=3, distribution="gauss")
+        sol = min_containment(P, C)
+        cert = make_certificate(P, C, sol)
+        assert np.max(np.abs(cert.lam @ cert.normals)) <= 1e-9
+        assert symmetric_counterexample(12, 10).kind is ContainerKind.HPOLY
+
+    def test_prism_past_1024_vertices(self):
+        C = symmetric_counterexample(9, 6)  # 140 x 2^3 vertices, built as a product
+        assert C.kind is ContainerKind.DUAL and C.vertices.shape == (1120, 9)
+        P = random_pointset(12, 9, seed=3, distribution="gauss")
+        sol = min_containment(P, C)
+        make_certificate(P, C, sol)
+        assert sol.rho == pytest.approx(min_containment(P, Container.from_normals(C.normals)).rho)
+        assert max(gauge(C, v) for v in C.vertices[::97]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCoverCheck:

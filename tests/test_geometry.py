@@ -293,7 +293,7 @@ class TestDerivedFacets:
     def test_beyond_budget_is_none(self, sphere_polytope):
         assert sphere_polytope.facets is None
         # the vertex-only cross-polytope has 2^d facets: kept up to
-        # sqrt(ENUM_BOUND) = 1024, as rows of the facet program
+        # sqrt(ENUM_BOUND) = 1024
         cross = [Container.from_vertices(np.vstack([np.eye(d), -np.eye(d)])) for d in (10, 11)]
         assert cross[0].facets.shape == (1024, 10) and cross[1].facets is None
         # the 5-, 6- and 8-cubes, with 32, 64 and 256 vertex rows, are within
@@ -373,9 +373,25 @@ class TestFacetDuals:
         assert Container.ball(3).facet_duals is None
         assert sphere_polytope.facet_duals is None  # no facets
         # double description on the 62 facets of T - T in R^5 and the 64 of
-        # the 6-cross-polytope would pair 4.8 million rays at one step
+        # the 6-cross-polytope would hold more than ENUM_BOUND zero-set
+        # entries (rays x rows) at one step
         assert _dual_body("T-T", 5).facet_duals is None
         assert standard_container("cross", 6).facet_duals is None
+
+    def test_many_duals_within_the_bound(self):
+        # 24 points on the sphere in R^3: 44 facets and 16 601 facet duals.
+        # Double description makes 2.2 million pair tests at its last step,
+        # within the bound of 16 ENUM_BOUND pair tests in all.
+        from homothetics.containment import _facet_program
+        from homothetics.instances import random_pointset
+
+        C = Container.from_vertices(random_pointset(24, 3, seed=0, distribution="sphere").points)
+        A, L = C.facets, C.facet_duals
+        assert L.shape == (16601, 44)
+        assert L.min() >= 0.0 and np.allclose(L.sum(axis=1), 1.0, atol=1e-12)
+        assert np.abs(L @ A).max() <= 1e-12
+        h = np.random.default_rng(0).standard_normal(44)
+        assert float((L @ h).max()) == pytest.approx(_facet_program(A, h, DEFAULT_TOL)[0], rel=1e-9)
 
     @pytest.mark.parametrize("name", ["T-T", "cross"])
     def test_beyond_the_bound_stops_early(self, name):

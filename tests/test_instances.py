@@ -74,6 +74,11 @@ class TestCap:
         assert C.vertices.shape == (70, 7)
         assert _same_point_set(np.asarray(C.vertices), sums, 1e-9)
 
+    def test_large_dim_hpoly_only(self):
+        # 2772 vertices in R^10, more than the enumeration bound keeps
+        C = simplex_cap_neg(10)
+        assert C.vertices is None and len(C.normals) == 22
+
 
 class TestPrism:
     def test_k_equals_d_is_cap(self):
