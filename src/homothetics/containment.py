@@ -5,17 +5,18 @@ point of P inside c + rho*C.  Each container representation has one
 linear program, built in one place and shared by the solver, the
 certificate and the core-set center search:
 
-- facet program (facet normals a_k, ``Container.facets``): min t with
-  a_k.c + t >= h_k, one row per facet and d+1 variables.  For
+- facet program (facet normals a_k, ``Container.facets``): the largest
+  lam.h over Lambda = {lam >= 0 : sum_k lam_k a_k = 0, sum lam = 1},
+  d+1 rows and one column per facet.  Its LP dual, min t with
+  a_k.c + t >= h_k, gives the center and t from the row duals.  For
   containment h_k = max_i a_k.p_i, since only the outermost point per
   facet can bind; each facet weight goes to the lowest-index point
-  attaining h_k, giving the point weights.  Every polytope with normals
-  takes it, and so does a vertex-only container with derived facets
-  (``Container.facets``) while they are few enough (``_facet_rows``).
+  attaining h_k, giving the point weights.  Every polytope with facets
+  takes it, given or derived from the vertices.
 - vertex program (vertices v_j): p_i = c + sum_j mu_ij v_j with
   sum_j mu_ij = t; its duals give a weight and a supporting normal per
-  point.  It solves the other vertex-only containers, and
-  ``method="vrep"`` forces it as the cross-check reference.
+  point.  It solves the vertex-only containers beyond the enumeration
+  bound, and ``method="vrep"`` forces it as the cross-check reference.
 
 Both programs are solved relative to the first point at unit spread
 and scaled back, so their answers scale and translate with the data.
@@ -162,10 +163,10 @@ def min_containment(
     """Least rho with P inside some translate of rho*C.
 
     method: "auto" takes the exact ball solver for balls, the facet
-    program where ``_facet_rows`` gives facets and the vertex program
-    otherwise; "hrep"/"vrep" force a polytope formulation (useful for
-    cross-checks).  Every solution is checked to cover P before it is
-    returned; ``LpError`` otherwise.
+    program where ``C.facets`` exists and the vertex program otherwise;
+    "hrep"/"vrep" force a polytope formulation (useful for cross-checks).
+    Every solution is checked to cover P before it is returned;
+    ``LpError`` otherwise.
     """
     _check_dims(P, C)
     if len(P) == 1:
@@ -176,7 +177,7 @@ def min_containment(
     if method == "auto":
         if C.kind is ContainerKind.BALL:
             return _solve_ball(P, C, tol)
-        method = "hrep" if _facet_rows(C, len(P)) is not None else "vrep"
+        method = "hrep" if C.facets is not None else "vrep"
     if method == "hrep":
         if C.facets is None:
             raise ValueError("hrep method needs container facets")
@@ -186,16 +187,6 @@ def min_containment(
             raise ValueError("vrep method needs container vertices")
         return _solve_vrep(P, C, tol)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _facet_rows(C: Container, n: int) -> np.ndarray | None:
-    """``C.facets`` if given, or if derived and at most 4 n (d+1): four
-    times the vertex program's rows for n points, about where the facet
-    program's dense m x m basis makes it the slower LP; else None."""
-    A = C.facets
-    if A is None or C.normals is not None or len(A) <= 4 * n * (C.dim + 1):
-        return A
-    return None
 
 
 def _solve_ball(P: PointSet, C: Container, tol: Tolerance) -> Solution:
@@ -216,11 +207,12 @@ def _solve_hrep(P: PointSet, C: Container, tol: Tolerance) -> Solution:
     rho, center, lam = _facet_program(C.facets, prods.max(axis=0), tol)
     center = origin + center
     rho = max(0.0, rho)
-    lam = np.clip(lam, 0.0, None)
-    lam /= lam.sum()
+    lam = lam / lam.sum()
     # each facet weight goes to the lowest-index point attaining h_k
     duals = np.bincount(np.argmax(prods, axis=0), weights=lam, minlength=len(P))
-    active_normals = np.nonzero(lam > 1e-9)[0].tolist()
+    # a basic weight can sit at round-off (4e-17 for two vertices of the
+    # triangle in T cap -T); only weights above tol.eq count as active
+    active_normals = np.flatnonzero(lam > tol.eq).tolist()
     gauges = all_gauges(P, C, center, tol)
     _verify_cover(gauges, rho, center, tol)
     active = _touching(gauges, rho, _slack(rho, center, tol))
@@ -250,26 +242,25 @@ def _verify_cover(gauges: np.ndarray, rho: float, center, tol: Tolerance) -> Non
 
 
 def _facet_program(A: np.ndarray, h: np.ndarray, tol: Tolerance):
-    """min t  s.t.  a_k.c + t >= h_k  for every facet k.
+    """max lam.h  s.t.  sum_k lam_k a_k = 0,  sum lam = 1,  lam >= 0:
+    d+1 rows and one column per facet k.
 
-    Returns (t, c, lam) with lam_k >= 0 the facet weights (sum one,
-    sum lam_k a_k = 0).  Written as t = max(h) + s with s free, every
-    right-hand side is nonnegative, so the slack basis is feasible and no
-    phase 1 runs; t >= 0 needs no bound when the normals positively span.
-    The right-hand sides are divided by their spread, so the LP sees unit
-    data at every scale; s and c are scaled back.
+    Its LP dual is min t s.t. a_k.c + t >= h_k: the optimal value is the
+    least t, and the row duals give its center c.  Returns (t, c, lam)
+    with lam the basic facet weights, at most d+1 of them positive.  The
+    costs are (max(h) - h_k) / spread(h), so the LP sees unit data at
+    every scale; t and c are scaled back.
     """
     m, d = A.shape
     top = float(h.max())
     spread = top - float(h.min()) or 1.0
-    # variables (c, s):  -a_k.c - s <= (top - h_k) / spread
-    lhs = np.hstack([-A, -np.ones((m, 1))])
-    obj = np.zeros(d + 1)
-    obj[d] = 1.0
-    res = solve_lp(LinearProgram.new(obj, lhs, ["<="] * m, (top - h) / spread), tol)
+    lhs = np.vstack([A.T, np.ones(m)])
+    res = solve_lp(LinearProgram.new((top - h) / spread, lhs, np.eye(d + 1)[d]), tol)
     if res.status is not LpStatus.OPTIMAL:
         raise LpError(f"containment LP ended {res.status}")
-    return top + spread * res.value, spread * res.primal[:d], -res.dual
+    # the unit LP's dual: min s s.t. a_k.c + s >= (h_k - top) / spread,
+    # with row duals (-c, -s)
+    return top - spread * res.value, -spread * res.dual[:d], res.primal
 
 
 def _vertex_program(points: np.ndarray, V: np.ndarray, offsets: np.ndarray, tol: Tolerance):
@@ -286,27 +277,30 @@ def _vertex_program(points: np.ndarray, V: np.ndarray, offsets: np.ndarray, tol:
     m = V.shape[0]
     origin = points[0]
     spread = float(np.max(np.abs(points - origin))) or 1.0
-    # variables (c, t, mu_11..mu_nm); d + 1 rows per point
-    nvar = d + 1 + n * m
+    # variables (c_1+, c_1-, ..., c_d+, c_d-, t, mu_11..mu_nm), c = c+ - c-;
+    # d + 1 rows per point
+    k = 2 * d
+    nvar = k + 1 + n * m
     rows = n * (d + 1)
     lhs = np.zeros((rows, nvar))
     rhs = np.zeros(rows)
+    split = np.kron(np.eye(d), [1.0, -1.0])
     for i in range(n):
         r0 = i * (d + 1)
-        lhs[r0 : r0 + d, :d] = np.eye(d)
-        lhs[r0 : r0 + d, d + 1 + i * m : d + 1 + (i + 1) * m] = V.T
+        lhs[r0 : r0 + d, :k] = split
+        lhs[r0 : r0 + d, k + 1 + i * m : k + 1 + (i + 1) * m] = V.T
         rhs[r0 : r0 + d] = (points[i] - origin) / spread
-        lhs[r0 + d, d + 1 + i * m : d + 1 + (i + 1) * m] = 1.0
-        lhs[r0 + d, d] = -1.0
+        lhs[r0 + d, k + 1 + i * m : k + 1 + (i + 1) * m] = 1.0
+        lhs[r0 + d, k] = -1.0
         rhs[r0 + d] = offsets[i] / spread
     obj = np.zeros(nvar)
-    obj[d] = 1.0
-    lower = np.concatenate([np.full(d, -np.inf), np.zeros(1 + n * m)])
-    res = solve_lp(LinearProgram.new(obj, lhs, ["="] * rows, rhs, lower=lower), tol)
+    obj[k] = 1.0
+    res = solve_lp(LinearProgram.new(obj, lhs, rhs), tol)
     if res.status is not LpStatus.OPTIMAL:
         raise LpError(f"containment LP ended {res.status}")
+    center = res.primal[0:k:2] - res.primal[1:k:2]
     duals = res.dual.reshape(n, d + 1)
-    return spread * res.value, origin + spread * res.primal[:d], -duals[:, d], duals[:, :d]
+    return spread * res.value, origin + spread * center, -duals[:, d], duals[:, :d]
 
 
 # -- certificates -------------------------------------------------------------

@@ -17,7 +17,6 @@ import numpy as np
 
 from .containment import (
     _facet_program,
-    _facet_rows,
     _roundoff,
     _slack,
     _vertex_program,
@@ -179,7 +178,7 @@ def _find_covering_center(
     gauge(p - c) <= (1+eps) radius on all of P, or None; C is a polytope.
 
     Both conditions become one containment program: the facet program
-    with h_k the larger of the two per-facet maxima (``_facet_rows``), or
+    with h_k the larger of the two per-facet maxima (``C.facets``), or
     the vertex program with offsets radius on S and (1+eps) radius on P.
     Its value t is the largest violation, so near-ties within tol.feas
     relative to (1+eps) radius, or within the round-off of P's
@@ -187,7 +186,7 @@ def _find_covering_center(
     """
     allowed = (1.0 + eps) * radius
     slack = max(tol.feas * allowed, _roundoff(P.points))
-    A = _facet_rows(C, len(idx) + len(P))
+    A = C.facets
     if A is not None:
         # relative to the first point, added back to the center
         origin = P.points[0]

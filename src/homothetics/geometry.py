@@ -135,8 +135,7 @@ class Container:
     vertices of the polar {a : a.v <= 1}, enumerated by double description
     once, on first access, and cached.  It is None for balls and for
     vertex-only containers whose enumeration exceeds the bound
-    (``instances.ENUM_BOUND``), which are solved through their vertices
-    (as are too many derived facets: ``containment._facet_rows``).
+    (``instances.ENUM_BOUND``), which are solved through their vertices.
     """
 
     dim: int
@@ -276,7 +275,9 @@ def _positively_spans(generators: np.ndarray, tol: Tolerance) -> bool:
     The largest min_i lam_i over lam >= 0 with sum(lam_i g_i) = 0 and
     sum(lam) = 1 is 1/(m + V), with V the gauge of -sum(g_i) in conv(g)
     (write lam_i = t + mu_i); the generators span when it exceeds
-    tol.pivot.
+    tol.pivot.  The gauge is one column program of d rows
+    (``_gauge_vpoly``), so the test costs little even for thousands of
+    generators.
     """
     g = np.asarray(generators, dtype=float)
     m, d = g.shape
@@ -318,7 +319,7 @@ def gauge(container: Container, x, tol: Tolerance = DEFAULT_TOL) -> float:
 
     Polytope with facets: max_k a_k.x clamped below at zero.  Ball:
     Euclidean norm.  Vertex-only form beyond the enumeration bound: the
-    polar program of ``_gauge_vpoly``.
+    column program of ``_gauge_vpoly``.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != container.dim:
@@ -333,21 +334,21 @@ def gauge(container: Container, x, tol: Tolerance = DEFAULT_TOL) -> float:
 
 def _gauge_vpoly(vertices: np.ndarray, x: np.ndarray, tol: Tolerance):
     """Gauge of x in conv(vertices) and a supporting normal a of the
-    polar (a.v_j <= 1 for every vertex, a.x = gauge), from the polar
-    program max a.x s.t. a.v_j <= 1.  Its right-hand sides are all one,
-    so it starts from the slack basis a = 0 and ends optimal or
-    unbounded; unbounded means x lies outside the cone of the vertices,
-    where the gauge is inf and there is no normal.  The program runs on
-    x / max|x_i|, so it sees a unit objective at every scale, and the
-    gauge is scaled back."""
+    polar (a.v_j <= 1 for every vertex, a.x = gauge), from the column
+    program min sum(mu) s.t. sum_j mu_j v_j = x, mu >= 0: d rows and one
+    column per vertex.  Its LP dual is the polar program max a.x s.t.
+    a.v_j <= 1, so the normal is the row duals.  The program is
+    infeasible when x lies outside the cone of the vertices, where the
+    gauge is inf and there is no normal.  It runs on x / max|x_i|, so it
+    sees unit right-hand sides at every scale, and the gauge is scaled
+    back."""
     from .lp import LinearProgram, LpStatus, solve_lp
 
-    m, _ = vertices.shape
     scale = float(np.max(np.abs(x))) or 1.0
-    res = solve_lp(LinearProgram.new(-x / scale, vertices, ["<="] * m, np.ones(m)), tol)
-    if res.status is LpStatus.UNBOUNDED:
+    res = solve_lp(LinearProgram.new(np.ones(len(vertices)), vertices.T, x / scale), tol)
+    if res.status is LpStatus.INFEASIBLE:
         return np.inf, None
-    return max(0.0, -res.value) * scale, res.primal
+    return res.value * scale, res.dual
 
 
 def support(container: Container, direction) -> float:

@@ -389,10 +389,10 @@ class TestDerivedFacetSolves:
         min_containment(P.subset(range(6)), C, method="vrep")  # the patch is live
         assert calls == [1]
 
-    def test_many_derived_facets_take_vertex_program_for_few_points(self, monkeypatch):
+    def test_many_derived_facets_take_facet_program(self, monkeypatch):
         # the prism over 20 points on the sphere in R^7: 40 vertices and 666
-        # facets.  Beyond four times the vertex program's n (d+1) rows the
-        # facet program's dense 666 x 666 basis makes it the slower LP.
+        # facets.  The facet program has d+1 = 9 rows for any number of
+        # facets or points, so no size routes it to the vertex program.
         from homothetics.coresets import validate_coreset
 
         S = random_pointset(20, 7, seed=1, distribution="sphere").points
@@ -404,20 +404,21 @@ class TestDerivedFacetSolves:
             rows.append(len(prog.rhs))
             return solve(prog, *args, **kwargs)
 
-        monkeypatch.setattr(containment, "solve_lp", counting)
-        few, many = (random_pointset(n, 8, seed=5, distribution="gauss") for n in (4, 20))
-        sol = min_containment(few, C)
-        assert rows == [4 * 9] and sol.active_normals == ()
-        rows.clear()
-        assert min_containment(many, C).active_normals and rows == [666]  # 666 <= 4 * 20 * 9
+        for n in (4, 20):
+            P = random_pointset(n, 8, seed=5, distribution="gauss")
+            rows.clear()
+            with monkeypatch.context() as m:
+                m.setattr(containment, "solve_lp", counting)
+                sol = min_containment(P, C)
+            assert rows == [9] and sol.active_normals
+            assert sol.rho == pytest.approx(min_containment(P, C, method="vrep").rho, rel=1e-9)
+            make_certificate(P, C, sol)
         rows.clear()
         e, c = np.eye(8)[7], np.append(-0.5 * S[0], 0.0)
         P = PointSet(np.vstack([e, -e, c + np.hstack([S[:5], np.zeros((5, 1))])]))
+        monkeypatch.setattr(containment, "solve_lp", counting)
         assert validate_coreset(P, C, [0, 1], 0.0, require_center_conform=True)
-        assert rows and max(rows) < 666
-        monkeypatch.undo()
-        assert sol.rho == pytest.approx(min_containment(few, C, method="hrep").rho, rel=1e-9)
-        make_certificate(few, C, sol)
+        assert rows and set(rows) == {9}
 
 
 class TestGeneratedBeyondTheBound:
@@ -468,7 +469,8 @@ class TestCoverCheck:
 
 
 class TestFacetProgram:
-    """The m-row facet program against scipy's HiGHS on the same LP."""
+    """The facet program against scipy's HiGHS on its LP dual, the m-row
+    program min t s.t. a_k.c + t >= h_k."""
 
     @pytest.mark.parametrize("tag", ["box", "cross", "negT", "cap"])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -496,8 +498,19 @@ class TestFacetProgram:
             assert np.all(lam >= -1e-9)
             assert lam.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.allclose(lam @ A, 0.0, atol=1e-7)
+            assert np.count_nonzero(lam) <= d + 1  # a basic solution
             # complementary slackness: weight only on binding facets
             assert np.all(lam[A @ c + t > h + 1e-6] <= 1e-9)
+
+    def test_round_off_weight_is_not_an_active_normal(self):
+        # two vertices of the triangle in the hexagon T cap -T: the basic
+        # facet weights are 1/2, 1/2 and one at round-off
+        P = regular_simplex(2)[0].subset([0, 1])
+        C = simplex_cap_neg(2)
+        h = ((P.points - P.points[0]) @ C.facets.T).max(axis=0)
+        lam = _facet_program(C.facets, h, DEFAULT_TOL)[2]
+        assert np.count_nonzero(lam) == 3 and np.sort(lam)[-3] < 1e-15
+        assert min_containment(P, C).active_normals == (1, 4)
 
 
 class TestCertificates:

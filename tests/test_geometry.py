@@ -137,6 +137,22 @@ class TestContainerValidation:
         )
         assert _positively_spans(G, DEFAULT_TOL) == spans
 
+    def test_span_test_of_many_vertices_has_d_rows(self, monkeypatch):
+        # the span test of 1536 vertices in R^10 is a program of 10 rows
+        # and one column per vertex, not one row per vertex
+        from homothetics import lp
+
+        solve, shapes = lp.solve_lp, []
+
+        def counting(prog, *args, **kwargs):
+            shapes.append(prog.lhs.shape)
+            return solve(prog, *args, **kwargs)
+
+        monkeypatch.setattr(lp, "solve_lp", counting)
+        C = symmetric_counterexample(10, 2)
+        assert C.vertices.shape == (1536, 10)
+        assert (10, 1536) in shapes and max(r for r, _ in shapes) == 10
+
 
 class TestGauge:
     def test_box_gauge(self):

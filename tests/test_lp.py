@@ -17,71 +17,86 @@ from homothetics.instances import regular_simplex
 TOL = Tolerance()
 
 
+def with_slacks(objective, lhs):
+    """The standard form of lhs x <= rhs: one slack column per row, at cost zero."""
+    lhs = np.atleast_2d(np.asarray(lhs, dtype=float))
+    return np.r_[objective, np.zeros(len(lhs))], np.hstack([lhs, np.eye(len(lhs))])
+
+
 class TestSolveLp:
     def test_max_bounded(self):
-        # max x  s.t.  x <= 1, as min -x
-        res = solve_lp(LinearProgram.new([-1.0], [[1.0]], ["<="], [1.0]))
+        # max x  s.t.  x <= 1, as min -x  s.t.  x + s = 1
+        res = solve_lp(LinearProgram.new(*with_slacks([-1.0], [[1.0]]), [1.0]))
         assert res.status is LpStatus.OPTIMAL
         assert -res.value == pytest.approx(1.0)
         assert res.primal[0] == pytest.approx(1.0)
 
     def test_unbounded(self):
-        lp = LinearProgram.new([-1.0], [[0.0]], ["<="], [1.0], lower=[0.0])
+        lp = LinearProgram.new(*with_slacks([-1.0], [[0.0]]), [1.0])
         res = solve_lp(lp)
         assert res.status is LpStatus.UNBOUNDED
         assert res.value == -np.inf
 
     def test_infeasible(self):
-        lp = LinearProgram.new([1.0], [[1.0]], ["<="], [-1.0], lower=[0.0])
+        lp = LinearProgram.new(*with_slacks([1.0], [[1.0]]), [-1.0])
         assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
     def test_two_point_interval_containment(self):
-        # min rho covering {-1, 1} by c + rho[-1, 1]: rho=1, c=0
-        lhs = [[-1, -1], [1, -1], [-1, -1], [1, -1]]
+        # min rho covering {-1, 1} by c + rho[-1, 1]: rho=1, c=0, with the
+        # free c split into c+ - c-
+        lhs = [[-1, 1, -1], [1, -1, -1], [-1, 1, -1], [1, -1, -1]]
         rhs = [-1, 1, 1, -1]
-        lp = LinearProgram.new([0.0, 1.0], lhs, ["<="] * 4, rhs, lower=[-np.inf, 0.0])
+        lp = LinearProgram.new(*with_slacks([0.0, 0.0, 1.0], lhs), rhs)
         res = solve_lp(lp)
         assert res.status is LpStatus.OPTIMAL
         assert res.value == pytest.approx(1.0)
-        assert res.primal[0] == pytest.approx(0.0, abs=1e-9)
+        assert res.primal[0] - res.primal[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_equality_rows_and_redundancy(self):
-        lp = LinearProgram.new(
-            [1.0, 1.0], [[1, 1], [2, 2], [1, -1]], ["=", "=", "="], [1, 2, 0], lower=[0, 0]
-        )
+        lp = LinearProgram.new([1.0, 1.0], [[1, 1], [2, 2], [1, -1]], [1, 2, 0])
         res = solve_lp(lp)
         assert res.status is LpStatus.OPTIMAL
         assert res.value == pytest.approx(1.0)
         assert np.allclose(res.primal, [0.5, 0.5])
 
     def test_dual_signs_and_strong_duality(self):
-        # min x + 2y st x + y >= 1 (as -x - y <= -1), x, y >= 0
-        lp = LinearProgram.new([1.0, 2.0], [[-1.0, -1.0]], ["<="], [-1.0], lower=[0.0, 0.0])
+        # min x + 2y st x + y >= 1 (as -x - y + s = -1), x, y, s >= 0
+        lp = LinearProgram.new(*with_slacks([1.0, 2.0], [[-1.0, -1.0]]), [-1.0])
         res = solve_lp(lp)
         assert res.value == pytest.approx(1.0)
-        # <= row dual is nonpositive for minimisation; here y = -1 so that
-        # dual objective y . b = (-1)(-1) = 1 matches the primal value
+        # the slack column bounds the row dual by its cost zero; here y = -1
+        # so that dual objective y . b = (-1)(-1) = 1 matches the primal value
         assert res.dual[0] == pytest.approx(-1.0)
         assert res.dual @ lp.rhs == pytest.approx(res.value)
 
     def test_zero_artificials_driven_out_of_the_basis(self):
         # phase 1 ends feasible with an artificial still basic at zero on a
         # row that is not redundant; it is pivoted out, and the row stays
-        lp = LinearProgram.new(
-            [1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], ["=", "="], [0.0, 0.0], lower=[0.0, 0.0]
-        )
+        lp = LinearProgram.new([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [0.0, 0.0])
         res = solve_lp(lp)
         assert res.status is LpStatus.OPTIMAL
         assert res.value == 0.0
         assert np.array_equal(res.primal, [0.0, 0.0])
         assert res.dual.shape == (2,)
 
+    def test_redundant_row_is_the_stuck_artificials_own(self):
+        # the artificial stuck basic at zero after phase 1 sits at another
+        # basis position than its row; dropping the row at that position
+        # left a singular basis.  Feasible at (1/2, 1/2, 0).
+        A = [[-1, 1, -2], [1, -1, 1], [-2, 2, -3], [1, 1, 1]]
+        res = solve_lp(LinearProgram.new([1.0, 2.0, 3.0], A, [0.0, 0.0, 0.0, 1.0]))
+        assert res.status is LpStatus.OPTIMAL
+        assert res.value == pytest.approx(1.5)
+        assert np.allclose(res.primal, [0.5, 0.5, 0.0])
+        assert res.dual[3] == pytest.approx(res.value)
+        assert np.all(res.dual @ np.asarray(A) <= np.array([1.0, 2.0, 3.0]) + 1e-12)
+
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((12, 5))
         b = rng.uniform(1, 2, 12)
         c = rng.standard_normal(5)
-        lp = LinearProgram.new(c, A, ["<="] * 12, b)
+        lp = LinearProgram.new(*with_slacks(np.r_[c, -c], np.hstack([A, -A])), b)
         first = solve_lp(lp)
         for _ in range(3):
             again = solve_lp(lp)
@@ -91,9 +106,7 @@ class TestSolveLp:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            LinearProgram.new([1.0, 2.0], [[1.0]], ["<="], [1.0])
-        with pytest.raises(ValueError):
-            LinearProgram.new([1.0], [[1.0]], [">="], [1.0])
+            LinearProgram.new([1.0, 2.0], [[1.0]], [1.0])
 
     def test_random_lps_agree_with_reference_vertices(self):
         # small random LPs with bounded feasible sets: compare against brute
@@ -105,8 +118,7 @@ class TestSolveLp:
             A = np.vstack([rng.standard_normal((m - 1, n)), np.ones(n)])  # sum row bounds the orthant
             b = np.concatenate([rng.uniform(0.5, 2.0, m - 1), [5.0]])
             c = rng.standard_normal(n)
-            lp = LinearProgram.new(c, A, ["<="] * m, b, lower=np.zeros(n))
-            res = solve_lp(lp)
+            res = solve_lp(LinearProgram.new(*with_slacks(c, A), b))
             assert res.status is LpStatus.OPTIMAL  # x=0 feasible; polytope bounded
             best = 0.0  # value at origin
             rows = np.vstack([A, -np.eye(n)])
@@ -219,8 +231,7 @@ class TestAgainstScipy:
             b = rng.uniform(0.2, 2.0, m)
             c = rng.standard_normal(n)
             lp = LinearProgram.new(
-                c, np.vstack([A, np.ones(n)]), ["<="] * (m + 1),
-                np.concatenate([b, [8.0]]), lower=np.zeros(n),
+                *with_slacks(c, np.vstack([A, np.ones(n)])), np.concatenate([b, [8.0]])
             )
             ours = solve_lp(lp)
             ref = scipy_opt.linprog(
@@ -229,3 +240,22 @@ class TestAgainstScipy:
             )
             assert ours.status is LpStatus.OPTIMAL and ref.status == 0
             assert ours.value == pytest.approx(ref.fun, abs=1e-8)
+
+    def test_redundant_rows_match_linprog(self):
+        # feasible integer programs with one row a combination of the others,
+        # inserted at a random position: phase 1 must drop that row
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(2, 6))
+            n = int(rng.integers(m, m + 4))
+            A = rng.integers(-3, 4, (m, n)).astype(float)
+            A = np.insert(A, int(rng.integers(0, m + 1)), rng.integers(-2, 3, m) @ A, axis=0)
+            b = A @ (rng.uniform(0, 1, n) * (rng.random(n) < 0.6))
+            c = rng.uniform(0, 1, n)
+            ours = solve_lp(LinearProgram.new(c, A, b))
+            ref = scipy_opt.linprog(c, A_eq=A, b_eq=b, bounds=[(0, None)] * n, method="highs")
+            assert ref.status == 0 and ours.status is LpStatus.OPTIMAL
+            assert ours.value == pytest.approx(ref.fun, abs=1e-8)
+            assert ours.dual @ b == pytest.approx(ours.value, abs=1e-8)
+            assert np.all(c - ours.dual @ A >= -1e-8)
