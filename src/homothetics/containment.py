@@ -40,6 +40,7 @@ from .geometry import (
     DimensionMismatch,
     PointSet,
     Tolerance,
+    _facet_rows,
     _gauge_vpoly,
     gauge,
 )
@@ -204,7 +205,7 @@ def _solve_hrep(P: PointSet, C: Container, tol: Tolerance) -> Solution:
     # taken relative to the first point
     origin = P.points[0]
     prods = (P.points - origin) @ C.facets.T  # (n, m)
-    rho, center, lam = _facet_program(C.facets, prods.max(axis=0), tol)
+    rho, center, lam = _facet_program(C.facets, prods.max(axis=0), tol, C.facet_start(tol))
     center = origin + center
     rho = max(0.0, rho)
     lam = lam / lam.sum()
@@ -241,9 +242,11 @@ def _verify_cover(gauges: np.ndarray, rho: float, center, tol: Tolerance) -> Non
         raise LpError(f"solution does not cover: gauge {worst} > rho {rho}")
 
 
-def _facet_program(A: np.ndarray, h: np.ndarray, tol: Tolerance):
+def _facet_program(A: np.ndarray, h: np.ndarray, tol: Tolerance, start=None):
     """max lam.h  s.t.  sum_k lam_k a_k = 0,  sum lam = 1,  lam >= 0:
-    d+1 rows and one column per facet k.
+    d+1 rows and one column per facet k.  ``start`` is the container's
+    start basis of these rows (``Container.facet_start``), with which
+    phase 2 begins at once.
 
     Its LP dual is min t s.t. a_k.c + t >= h_k: the optimal value is the
     least t, and the row duals give its center c.  Returns (t, c, lam)
@@ -251,11 +254,10 @@ def _facet_program(A: np.ndarray, h: np.ndarray, tol: Tolerance):
     costs are (max(h) - h_k) / spread(h), so the LP sees unit data at
     every scale; t and c are scaled back.
     """
-    m, d = A.shape
+    d = A.shape[1]
     top = float(h.max())
     spread = top - float(h.min()) or 1.0
-    lhs = np.vstack([A.T, np.ones(m)])
-    res = solve_lp(LinearProgram.new((top - h) / spread, lhs, np.eye(d + 1)[d]), tol)
+    res = solve_lp(LinearProgram.new((top - h) / spread, *_facet_rows(A)), tol, start)
     if res.status is not LpStatus.OPTIMAL:
         raise LpError(f"containment LP ended {res.status}")
     # the unit LP's dual: min s s.t. a_k.c + s >= (h_k - top) / spread,

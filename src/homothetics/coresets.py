@@ -192,7 +192,7 @@ def _find_covering_center(
         origin = P.points[0]
         prods = (P.points - origin) @ A.T
         h = np.maximum(prods[idx].max(axis=0) - radius, prods.max(axis=0) - allowed)
-        t, center, _ = _facet_program(A, h, tol)
+        t, center, _ = _facet_program(A, h, tol, C.facet_start(tol))
         center = origin + center
     else:
         pts = np.vstack([P.points[idx], P.points])

@@ -4,8 +4,9 @@ A container is a full-dimensional compact convex body with the origin in
 its interior.  It carries outer normals (half-space form, every offset
 normalised to one), vertices (hull form), both, or is the Euclidean unit
 ball.  All types are immutable after construction and safe to share
-between threads (a container's derived facets and facet duals are
-computed once, on first use); every operation here is a pure function.
+between threads (a container's derived facets, facet duals and facet
+program start bases are computed once, on first use); every operation
+here is a pure function.
 """
 
 from __future__ import annotations
@@ -136,6 +137,14 @@ class Container:
     once, on first access, and cached.  It is None for balls and for
     vertex-only containers whose enumeration exceeds the bound
     (``instances.ENUM_BOUND``), which are solved through their vertices.
+
+    ``facet_start(tol)`` gives the phase-1 basis of the facet program's
+    rows [A^T; 1] lam = e_{d+1} over the rows A of ``facets``.  The rows
+    belong to the container, and the data enter only the costs, so every
+    facet solve on this container starts phase 2 from that basis.  It is
+    computed on the first facet solve with each ``Tolerance`` and kept,
+    read-only, per tolerance; two threads that both miss it only compute
+    the same basis twice.
     """
 
     dim: int
@@ -247,12 +256,33 @@ class Container:
         L = _facet_duals(A)
         return None if L is None else _freeze(L)
 
+    def facet_start(self, tol: Tolerance = DEFAULT_TOL):
+        """Start basis of the facet program (see the class docstring),
+        from ``lp.start_basis``."""
+        starts = self._facet_starts
+        if tol not in starts:
+            from .lp import start_basis
+
+            starts[tol] = start_basis(*_facet_rows(self.facets), tol)
+        return starts[tol]
+
+    @cached_property
+    def _facet_starts(self) -> dict:
+        return {}
+
     def is_symmetric(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """True when the body equals its reflection -C (checked setwise)."""
         if self.kind is ContainerKind.BALL:
             return True
         arr = self.normals if self.normals is not None else self.vertices
         return _same_point_set(arr, -arr, 10 * tol.eq)
+
+
+def _facet_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the facet program over facet normals A (m, d):
+    sum_k lam_k a_k = 0 and sum lam = 1, as [A^T; 1] and e_{d+1}."""
+    m, d = A.shape
+    return np.vstack([A.T, np.ones(m)]), np.eye(d + 1)[d]
 
 
 def _same_point_set(a: np.ndarray, b: np.ndarray, radius: float) -> bool:

@@ -10,6 +10,11 @@ basic at zero and cannot be pivoted out marks its own row as a
 combination of the others; that row is dropped and its dual is zero.
 The row duals y satisfy A^T y <= c, with equality on every positive x_j.
 
+Phase 1 never reads the costs, so its basis serves every program with the
+same rows: ``start_basis`` runs phase 1 alone, and ``solve_lp`` given
+that start enters phase 2 directly.  Phase 2 then makes the same pivots
+from the same basis as a cold solve, and returns the same answer.
+
 A numerical failure (no acceptable pivot, singular basis) raises
 ``LpError`` rather than returning a wrong answer.
 """
@@ -30,6 +35,7 @@ __all__ = [
     "LpStatus",
     "LpError",
     "solve_lp",
+    "start_basis",
     "in_convex_hull",
     "HullResult",
 ]
@@ -80,13 +86,20 @@ class LpResult(NamedTuple):
     value: float
     primal: np.ndarray | None
     dual: np.ndarray | None  # one multiplier per constraint row
+    pivots: tuple[int, int]  # phase-1 and phase-2 pivots
 
 
-def _standardize(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _standardize(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A, b, flip): the rows with a negative right-hand side negated
     (flip -1), so that b >= 0."""
-    flip = np.where(lp.rhs < 0, -1.0, 1.0)
-    return lp.lhs * flip[:, None], lp.rhs * flip, flip
+    flip = np.where(rhs < 0, -1.0, 1.0)
+    return lhs * flip[:, None], rhs * flip, flip
+
+
+def _drop(b: np.ndarray, tol: Tolerance) -> float:
+    """How far below zero a basic variable may fall: tol.pivot relative
+    to the largest right-hand side."""
+    return tol.pivot * max(1.0, float(np.abs(b).max(initial=1.0)))
 
 
 def _inverse(B: np.ndarray, where: str) -> np.ndarray:
@@ -103,9 +116,9 @@ def _simplex_iterate(
     basis: np.ndarray,
     B_inv: np.ndarray,
     tol: Tolerance,
-) -> tuple[str, np.ndarray, np.ndarray]:
+) -> tuple[str, np.ndarray, np.ndarray, int]:
     """Primal simplex from a feasible basis and its inverse.  Returns
-    (status, basis, duals y)."""
+    (status, basis, duals y, pivots)."""
     m, n = A.shape
     xB = B_inv @ b
     bland = False
@@ -113,7 +126,7 @@ def _simplex_iterate(
     last_val = np.inf
     max_iter = 2000 + 60 * (m + n)
     opt_tol = 10.0 * tol.pivot
-    drop = tol.pivot * max(1.0, float(np.abs(b).max(initial=1.0)))
+    drop = _drop(b, tol)
 
     for it in range(max_iter):
         if it and it % _REFACTOR_EVERY == 0:
@@ -123,13 +136,13 @@ def _simplex_iterate(
         reduced = c - y @ A
         enter = int(np.argmin(reduced))  # Dantzig: first most negative
         if reduced[enter] >= -opt_tol:
-            return "optimal", basis, y
+            return "optimal", basis, y, it
         if bland:
             enter = int(np.flatnonzero(reduced < -opt_tol)[0])
         w = B_inv @ A[:, enter]
         pos = np.where(w > tol.pivot)[0]
         if pos.size == 0:
-            return "unbounded", basis, y
+            return "unbounded", basis, y, it
         # Harris's ratio test: a row may leave when its ratio is at most
         # min_i (xB_i + drop) / w_i, so no basic variable falls below -drop
         xp, wp = xB[pos], w[pos]
@@ -158,22 +171,25 @@ def _simplex_iterate(
 def _phase1(A: np.ndarray, b: np.ndarray, tol: Tolerance):
     """Find a feasible basis, starting from one artificial per row.
 
-    Returns (A, b, basis, keep, farkas) where farkas is None when
-    feasible, else the phase-1 duals.  An artificial still basic at zero
-    is pivoted out; where no column can replace it, its own row is a
+    Returns (A, b, basis, keep, farkas, pivots) where farkas is None
+    when feasible, else the phase-1 duals.  An artificial still basic at
+    zero is pivoted out; where no column can replace it, its own row is a
     combination of the others, and that row (``keep`` false) and the
-    artificial's basis position are dropped.
+    artificial's basis position are dropped.  The pivots count both the
+    simplex pivots and the pivots that take an artificial out.
     """
     m, n = A.shape
     A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    status, basis, y1 = _simplex_iterate(A1, b, c1, np.arange(n, n + m), np.eye(m), tol)
+    status, basis, y1, pivots = _simplex_iterate(
+        A1, b, c1, np.arange(n, n + m), np.eye(m), tol
+    )
     if status != "optimal":
         raise LpError("phase 1 did not terminate at an optimum")
     B_inv = _inverse(A1[:, basis], "after phase 1")
     gap = float(c1[basis] @ (B_inv @ b))
     if gap > tol.feas * max(1.0, float(np.abs(b).max(initial=1.0))):
-        return A, b, basis, np.ones(m, dtype=bool), y1
+        return A, b, basis, np.ones(m, dtype=bool), y1, pivots
 
     keep = np.ones(m, dtype=bool)
     stays = np.ones(m, dtype=bool)  # basis positions
@@ -189,24 +205,72 @@ def _phase1(A: np.ndarray, b: np.ndarray, tol: Tolerance):
         w[r] = 0.0
         B_inv -= w[:, None] * B_inv[r, :]
         basis[r] = enter
-    return A[keep], b[keep], basis[stays], keep, None
+        pivots += 1
+    return A[keep], b[keep], basis[stays], keep, None, pivots
 
 
-def solve_lp(lp: LinearProgram, tol: Tolerance = DEFAULT_TOL) -> LpResult:
-    """Solve, returning status, optimal value, primal point and row duals.
+def start_basis(lhs, rhs, tol: Tolerance = DEFAULT_TOL):
+    """Phase 1 alone on the rows lhs x = rhs: a start for ``solve_lp`` on
+    any program with these rows, whatever its costs.
 
+    Returns (basis, keep), both read-only: one basic column per kept row,
+    and the mask of the rows phase 1 keeps.  None when the rows are
+    infeasible.
+    """
+    lhs = np.atleast_2d(np.asarray(lhs, dtype=float))
+    A, b, _ = _standardize(lhs, np.asarray(rhs, dtype=float).ravel())
+    _, _, basis, keep, farkas, _ = _phase1(A, b, tol)
+    if farkas is not None:
+        return None
+    basis.flags.writeable = False
+    keep.flags.writeable = False
+    return basis, keep
+
+
+def _warm(A: np.ndarray, b: np.ndarray, start, tol: Tolerance):
+    """(A[keep], b[keep], basis, keep, B_inv) from a start basis, or None
+    when B^-1 b falls below -drop, the floor of the ratio test."""
+    basis, keep = start
+    if len(keep) != len(b) or len(basis) != np.count_nonzero(keep):
+        raise ValueError(
+            f"start of {len(basis)} columns over {len(keep)} rows for a program of {len(b)} rows"
+        )
+    # the same row copies that phase 1 returns, so that phase 2 sees the
+    # same arrays as in a cold solve
+    A, b = A[keep], b[keep]
+    basis = np.array(basis)  # pivoted in place
+    B_inv = _inverse(A[:, basis], "at the start basis")
+    if float((B_inv @ b).min(initial=0.0)) < -_drop(b, tol):
+        return None
+    return A, b, basis, np.asarray(keep), B_inv
+
+
+def solve_lp(lp: LinearProgram, tol: Tolerance = DEFAULT_TOL, start=None) -> LpResult:
+    """Solve, returning status, optimal value, primal point, row duals
+    and the pivots of each phase.
+
+    ``start`` is a ``start_basis`` of the program's rows.  When it is
+    feasible for the program's right-hand side, phase 2 starts from it
+    and phase 1 takes no pivots; otherwise phase 1 runs as in a cold
+    solve.  A start of another number of rows raises ``ValueError``.
     INFEASIBLE carries the phase-1 row duals.  OPTIMAL results pass the
     KKT check of ``_verify_optimal`` before being returned.
     """
-    A, b, flip = _standardize(lp)
-    A, b, basis, keep, farkas = _phase1(A, b, tol)
-    if farkas is not None:
-        return LpResult(LpStatus.INFEASIBLE, np.inf, None, farkas * flip)
+    A, b, flip = _standardize(lp.lhs, lp.rhs)
+    warm = None if start is None else _warm(A, b, start, tol)
+    if warm is None:
+        A, b, basis, keep, farkas, phase1 = _phase1(A, b, tol)
+        if farkas is not None:
+            return LpResult(LpStatus.INFEASIBLE, np.inf, None, farkas * flip, (phase1, 0))
+        B_inv = _inverse(A[:, basis], "before phase 2")
+    else:
+        A, b, basis, keep, B_inv = warm
+        phase1 = 0
 
-    B_inv = _inverse(A[:, basis], "before phase 2")
-    status, basis, y = _simplex_iterate(A, b, lp.objective, basis, B_inv, tol)
+    status, basis, y, phase2 = _simplex_iterate(A, b, lp.objective, basis, B_inv, tol)
+    pivots = (phase1, phase2)
     if status == "unbounded":
-        return LpResult(LpStatus.UNBOUNDED, -np.inf, None, None)
+        return LpResult(LpStatus.UNBOUNDED, -np.inf, None, None, pivots)
 
     x = np.zeros(A.shape[1])
     x[basis] = _inverse(A[:, basis], "at the optimum") @ b
@@ -214,7 +278,7 @@ def solve_lp(lp: LinearProgram, tol: Tolerance = DEFAULT_TOL) -> LpResult:
     dual[keep] = y * flip[keep]
     _verify_optimal(lp, x, dual, tol)
     x = np.clip(x, 0.0, None)
-    return LpResult(LpStatus.OPTIMAL, float(lp.objective @ x), x, dual)
+    return LpResult(LpStatus.OPTIMAL, float(lp.objective @ x), x, dual, pivots)
 
 
 def _verify_optimal(lp: LinearProgram, x: np.ndarray, y: np.ndarray, tol: Tolerance) -> None:
