@@ -44,7 +44,7 @@ from .geometry import (
     _gauge_vpoly,
     gauge,
 )
-from .lp import LinearProgram, LpError, LpStatus, in_convex_hull, solve_lp
+from .lp import HullResult, LinearProgram, LpError, LpStatus, in_convex_hull, solve_lp
 from .meb import minimum_enclosing_ball
 
 __all__ = [
@@ -316,12 +316,14 @@ def make_certificate(
     Touching points and their supporting normals are collected per
     container kind (active half-spaces; unit point directions for the
     ball; vertex-formulation duals).  Convex weights placing the origin in
-    the normals' hull are then found by column generation: the hull test
-    starts from the normals of the solution's own dual support and, while
-    it fails, takes in the touching normal that most violates its
-    separator.  "separated" is raised only when that separator holds for
-    every touching normal.  The weights are merged per point, at most d+1
-    of them.  Slacks are relative to rho (``_slack``), so the test is
+    the normals' hull are then found by ``_balance``: first the normals
+    of the solution's own dual support alone (active facets at points of
+    positive weight; the ball's support), whose weights least squares
+    gives with no LP; where those do not balance, column generation by
+    the hull test, which takes in the touching normal that most violates
+    its separator.  "separated" is raised only when that separator holds
+    for every touching normal.  The weights are merged per point, at most
+    d+1 of them, and the certificate is checked before it is returned.  Slacks are relative to rho (``_slack``), so the test is
     free of the data's scale; when rho is so small next to the center's
     coordinates that their round-off exceeds tol.feas * rho, the test runs
     at that coarser precision (``_at_precision``).
@@ -381,17 +383,27 @@ _SEPARATION_SLACK = 1e-9
 
 
 def _balance(normals: np.ndarray, seed: np.ndarray, tol: Tolerance):
-    """Working-set test of 0 in conv(normals), by column generation.
+    """Working-set test of 0 in conv(normals).
 
-    The working set starts at the rows where ``seed`` is true (row 0 when
-    none is) and grows by the row a most violating the separator y of the
-    failed hull test (largest a.y), until the test holds or y separates
-    every row.  Returns (working rows, ``HullResult`` on those rows).
+    The working set W starts at the rows where ``seed`` is true (row 0
+    when none is).  Least squares on [N_W^T; 1] w = e_{d+1} gives the
+    weights of an optimal solution's own support directly: when w >= 0
+    and the residual is at most tol.feas, they are the result, with no
+    LP.  Otherwise column generation runs: W grows by the row a most
+    violating the separator y of the failed hull test (largest a.y),
+    until the test holds or y separates every row.  Returns (working
+    rows, ``HullResult`` on those rows).
     """
     work = np.flatnonzero(seed)
     if work.size == 0:
         work = np.zeros(1, dtype=int)
-    origin = np.zeros(normals.shape[1])
+    d = normals.shape[1]
+    M = np.vstack([normals[work].T, np.ones(work.size)])
+    e = np.eye(d + 1)[d]
+    w = np.linalg.lstsq(M, e, rcond=None)[0]
+    if w.min() >= 0.0 and np.abs(M @ w - e).max() <= tol.feas:
+        return work, HullResult(True, w, None)
+    origin = np.zeros(d)
     while True:
         hull = in_convex_hull(normals[work], origin, tol)
         if hull.contains:

@@ -317,8 +317,9 @@ class TestDerivedFacetSolves:
             assert a @ (p - sol.center) / sol.rho == pytest.approx(1.0, abs=1e-5)
 
     def test_six_cube_takes_facet_program(self, monkeypatch):
-        # its 12 facets come from double description: one LP for the solve
-        # and one for the certificate, and no gauge LP per point
+        # its 12 facets come from double description: one LP for the solve,
+        # none for the certificate (the solve's own weights balance), and
+        # no gauge LP per point
         from homothetics import lp
 
         solve, calls = lp.solve_lp, []
@@ -334,7 +335,7 @@ class TestDerivedFacetSolves:
         monkeypatch.setattr(containment, "solve_lp", counting)
         sol = min_containment(P, C)
         make_certificate(P, C, sol)
-        assert len(calls) == 2
+        assert len(calls) == 1
         monkeypatch.undo()
         box = standard_container("box", 6)
         assert sol.rho == pytest.approx(min_containment(P, box).rho, rel=1e-12)
@@ -692,6 +693,8 @@ class TestBallPath:
         assert not halfspace_lemma_check(P, off)
 
     def test_hull_test_sees_few_generators_on_a_sphere(self, monkeypatch):
+        # every point touches, but the certificate takes the support's own
+        # weights: no hull LP over the many touching directions
         d = 5
         P = random_pointset(10_000, d, seed=3, distribution="sphere")
         C = Container.ball(d)
@@ -705,9 +708,13 @@ class TestBallPath:
         monkeypatch.setattr(containment, "in_convex_hull", counting)
         sol = min_containment(P, C)
         assert len(sol.active_points) > 2 * (d + 1)
-        make_certificate(P, C, sol)
+        cert = make_certificate(P, C, sol)
         assert halfspace_lemma_check(P, sol)
-        assert sizes and max(sizes) <= 2 * (d + 1)
+        assert sizes == []
+        assert len(cert.lam) <= d + 1
+        assert np.max(np.abs(cert.lam @ cert.normals)) <= 1e-9
+        U = (cert.touch_points - sol.center) / sol.rho
+        assert np.allclose(np.einsum("ij,ij->i", cert.normals, U), 1.0, atol=1e-9)
 
     def test_separator_holds_for_every_touching_normal(self):
         # 400 points on a 3-d spherical cap about c: all touch the sphere
