@@ -38,7 +38,7 @@ from homothetics.instances import (
     standard_container,
     symmetric_counterexample,
 )
-from homothetics.lp import LpError
+from homothetics.lp import LpError, in_convex_hull
 
 
 def corpus_container(tag: str, d: int) -> Container:
@@ -631,6 +631,75 @@ class TestHalfspaceLemma:
         sol = min_containment(P, Container.ball(3))
         assert halfspace_lemma_check(P, sol)
         assert len(sol.active_points) == 4
+
+
+class TestDirectCertificates:
+    """A certificate takes the weights of the solution's own support,
+    with no hull LP; a candidate off the optimum still reaches the hull
+    test and is separated."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls, real = [], containment.in_convex_hull
+
+        def counting(generators, target, tol=DEFAULT_TOL):
+            calls.append(len(generators))
+            return real(generators, target, tol)
+
+        monkeypatch.setattr(containment, "in_convex_hull", counting)
+        return calls
+
+    @pytest.mark.parametrize("tag", ["ball", "box", "cross", "negT", "cap", "box-v"])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_solutions_certified_without_a_hull_lp(self, tag, d, monkeypatch):
+        C = (
+            Container.from_vertices(cube_vertices(d)) if tag == "box-v"
+            else corpus_container(tag, d)
+        )
+        calls = self._counting(monkeypatch)
+        for seed in range(4):
+            for dist in ("ball-uniform", "gauss", "sphere"):
+                P = random_pointset(30, d, seed=200 + seed, distribution=dist)
+                sol = min_containment(P, C)
+                cert = make_certificate(P, C, sol)  # checked before it returns
+                assert 2 <= len(cert.point_indices) <= d + 1
+                if tag == "ball":
+                    assert halfspace_lemma_check(P, sol)
+        assert calls == []
+
+    @pytest.mark.parametrize("tag", ["ball", "box", "cap"])
+    def test_perturbed_center_is_separated_by_the_hull_test(self, tag, monkeypatch):
+        d = 3
+        C = corpus_container(tag, d)
+        calls = self._counting(monkeypatch)
+        for seed in range(4):
+            P = random_pointset(25, d, seed=300 + seed, distribution="gauss")
+            sol = min_containment(P, C)
+            shift = 0.05 * sol.rho * np.random.default_rng(seed).standard_normal(d)
+            c = sol.center + shift
+            rho = float(all_gauges(P, C, c, DEFAULT_TOL).max())
+            off = Solution(rho, c, sol.active_points, sol.active_normals, sol.duals)
+            with pytest.raises(NotOptimalError) as err:
+                make_certificate(P, C, off)
+            assert err.value.reason == "separated"
+            if tag == "ball":
+                assert not halfspace_lemma_check(P, off)
+        assert calls
+
+    def test_halfspace_lemma_agrees_with_the_full_hull_test(self):
+        # the working-set test against one hull LP over every touching
+        # direction, on optimal and displaced centers
+        for seed in range(8):
+            P = random_pointset(40, 3, seed=400 + seed, distribution="sphere")
+            sol = min_containment(P, Container.ball(3))
+            for c in (sol.center, sol.center + 0.02 * sol.rho * (-1) ** seed):
+                dist = np.linalg.norm(P.points - c, axis=1)
+                rho = float(dist.max())
+                touching = dist >= rho - _slack(rho, c, DEFAULT_TOL)
+                U = (P.points[touching] - c) / dist[touching, None]
+                full = in_convex_hull(U, np.zeros(3)).contains
+                off = Solution(rho, c, (), (), sol.duals)
+                assert halfspace_lemma_check(P, off) == full
 
 
 class TestBallPath:

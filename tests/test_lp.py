@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -6,13 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homothetics import (
+    Container,
     LinearProgram,
     LpStatus,
     Tolerance,
     in_convex_hull,
+    reflect,
     solve_lp,
 )
-from homothetics.instances import regular_simplex
+from homothetics import containment, lp
+from homothetics.coresets import validate_coreset
+from homothetics.geometry import _facet_rows
+from homothetics.instances import (
+    random_pointset,
+    regular_simplex,
+    simplex_cap_neg,
+    standard_container,
+)
+from homothetics.lp import start_basis
+from homothetics.radii import core_radius
 
 TOL = Tolerance()
 
@@ -132,6 +144,131 @@ class TestSolveLp:
                 if np.all(rows @ x <= rhs + 1e-9):
                     best = min(best, float(c @ x))
             assert res.value == pytest.approx(best, abs=1e-7)
+
+
+_FAMILIES = {
+    "box": lambda d: standard_container("box", d),
+    "cross": lambda d: standard_container("cross", d),
+    "negT": lambda d: reflect(regular_simplex(d)[1]),
+    "cap": simplex_cap_neg,
+    "box-V": lambda d: Container.from_vertices(np.array(list(product((-1.0, 1.0), repeat=d)))),
+}
+_CONTAINERS: dict = {}
+
+
+def _container(name, d):
+    if (name, d) not in _CONTAINERS:
+        _CONTAINERS[name, d] = _FAMILIES[name](d)
+    return _CONTAINERS[name, d]
+
+
+def _facet_lp(C, seed, log_scale):
+    """min h.lam over Lambda(C), with h standard normal times 10^log_scale."""
+    h = np.random.default_rng(seed).standard_normal(len(C.facets)) * 10.0**log_scale
+    return LinearProgram.new(h, *_facet_rows(C.facets))
+
+
+def _same(a, b):
+    return (
+        a.status is b.status
+        and a.value == b.value
+        and np.array_equal(a.primal, b.primal)
+        and np.array_equal(a.dual, b.dual)
+    )
+
+
+class TestStartBasis:
+    """solve_lp from a start basis: the facet program's phase-1 basis,
+    which ``Container.facet_start`` keeps per tolerance."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(_FAMILIES)),
+        st.integers(2, 6),
+        st.integers(0, 2**32 - 1),
+        st.floats(-3.0, 3.0),
+    )
+    def test_start_matches_the_cold_solve(self, name, d, seed, log_scale):
+        C = _container(name, d)
+        program = _facet_lp(C, seed, log_scale)
+        cold = solve_lp(program, TOL)
+        warm = solve_lp(program, TOL, C.facet_start(TOL))
+        assert cold.status is LpStatus.OPTIMAL
+        assert _same(warm, cold)
+        assert cold.pivots[0] == d + 1
+        assert warm.pivots == (0, cold.pivots[1])
+
+    @pytest.mark.parametrize("name, d", [("cross", 3), ("cross", 6), ("cap", 2), ("cap", 5)])
+    def test_infeasible_start_falls_back_to_phase_one(self, name, d):
+        C = _container(name, d)
+        lhs, rhs = _facet_rows(C.facets)
+        # the first nonsingular basis of d+1 facets whose weights are not
+        # all nonnegative: the origin lies outside their hull
+        for cols in combinations(range(len(C.facets)), d + 1):
+            B = lhs[:, cols]
+            if abs(np.linalg.det(B)) > 1e-9 and np.linalg.solve(B, rhs).min() < -1e-3:
+                break
+        else:
+            pytest.fail("no infeasible basis")
+        start = (np.array(cols), np.ones(d + 1, dtype=bool))
+        for seed in range(5):
+            program = _facet_lp(C, seed, 0.0)
+            cold = solve_lp(program, TOL)
+            again = solve_lp(program, TOL, start)
+            assert _same(again, cold)
+            assert again.pivots == cold.pivots and again.pivots[0] == d + 1
+
+    def test_start_of_another_size_raises(self):
+        program = _facet_lp(_container("box", 4), 0, 0.0)
+        with pytest.raises(ValueError):
+            solve_lp(program, TOL, _container("box", 3).facet_start(TOL))
+        basis, keep = _container("box", 4).facet_start(TOL)
+        with pytest.raises(ValueError):
+            solve_lp(program, TOL, (basis[:-1], keep))
+
+    def test_start_is_read_only_and_unchanged_by_solves(self):
+        C = _FAMILIES["cap"](4)
+        basis, keep = C.facet_start(TOL)
+        before = basis.copy()
+        assert not basis.flags.writeable and not keep.flags.writeable
+        for seed in range(5):
+            solve_lp(_facet_lp(C, seed, 1.0), TOL, (basis, keep))
+        assert np.array_equal(basis, before)
+        assert C.facet_start(TOL) is C.facet_start(TOL)
+
+    def test_infeasible_rows_have_no_start(self):
+        # x1 + x2 = -1 has no nonnegative solution
+        assert start_basis([[1.0, 1.0]], [-1.0], TOL) is None
+
+    @pytest.mark.parametrize("name", ["box", "cap", "box-V"])
+    def test_phase_one_once_per_container_and_tolerance(self, name, monkeypatch):
+        d = 4
+        C = _FAMILIES[name](d)  # fresh: nothing cached
+        phase1, real_phase1 = [], lp._phase1
+        pivots, real_solve = [], containment.solve_lp
+
+        def counting_phase1(*args, **kwargs):
+            phase1.append(1)
+            return real_phase1(*args, **kwargs)
+
+        def recording(program, tol=TOL, start=None):
+            res = real_solve(program, tol, start)
+            if program.lhs.shape[0] == d + 1:  # the facet program
+                pivots.append(res.pivots)
+            return res
+
+        monkeypatch.setattr(lp, "_phase1", counting_phase1)
+        monkeypatch.setattr(containment, "solve_lp", recording)
+        coarse = Tolerance(feas=1e-6, pivot=1e-9, eq=1e-5)
+        for tol in (TOL, coarse):
+            for seed in range(4):
+                P = random_pointset(12, d, seed=seed, distribution="gauss")
+                containment.min_containment(P, C, tol)
+            core_radius(P, C, 1, tol)
+            validate_coreset(P, C, [0, 1, 2], 5.0, require_center_conform=True, tol=tol)
+        assert len(phase1) == 2
+        assert len(pivots) > 8
+        assert all(p[0] == 0 for p in pivots)
 
 
 class TestInConvexHull:
