@@ -323,10 +323,11 @@ def make_certificate(
     the hull test, which takes in the touching normal that most violates
     its separator.  "separated" is raised only when that separator holds
     for every touching normal.  The weights are merged per point, at most
-    d+1 of them, and the certificate is checked before it is returned.  Slacks are relative to rho (``_slack``), so the test is
-    free of the data's scale; when rho is so small next to the center's
-    coordinates that their round-off exceeds tol.feas * rho, the test runs
-    at that coarser precision (``_at_precision``).
+    d+1 of them, and the certificate is checked before it is returned.
+    Slacks are relative to rho (``_slack``), so the test is free of the
+    data's scale; when rho is so small next to the center's coordinates
+    that their round-off exceeds tol.feas * rho, the test runs at that
+    coarser precision (``_at_precision``).
     """
     _check_dims(P, C)
     rho, center = float(sol.rho), np.asarray(sol.center, dtype=float)
@@ -397,13 +398,11 @@ def _balance(normals: np.ndarray, seed: np.ndarray, tol: Tolerance):
     work = np.flatnonzero(seed)
     if work.size == 0:
         work = np.zeros(1, dtype=int)
-    d = normals.shape[1]
-    M = np.vstack([normals[work].T, np.ones(work.size)])
-    e = np.eye(d + 1)[d]
+    M, e = _facet_rows(normals[work])
     w = np.linalg.lstsq(M, e, rcond=None)[0]
     if w.min() >= 0.0 and np.abs(M @ w - e).max() <= tol.feas:
         return work, HullResult(True, w, None)
-    origin = np.zeros(d)
+    origin = np.zeros(normals.shape[1])
     while True:
         hull = in_convex_hull(normals[work], origin, tol)
         if hull.contains:
