@@ -236,6 +236,38 @@ class TestStartBasis:
         assert np.array_equal(basis, before)
         assert C.facet_start(TOL) is C.facet_start(TOL)
 
+    def test_threads_sharing_a_container_get_the_cold_answers(self):
+        # four threads race for one fresh container's start: a lost update
+        # only recomputes it, and every solve still equals the cold one
+        import sys
+        import threading
+
+        C = _FAMILIES["cross"](4)
+        programs = [_facet_lp(C, seed, 0.5) for seed in range(20)]
+        cold = [solve_lp(program, TOL) for program in programs]
+        barrier = threading.Barrier(4)
+        bad = []
+
+        def work():
+            barrier.wait(timeout=10)
+            for program, ref in zip(programs, cold):
+                if not _same(solve_lp(program, TOL, C.facet_start(TOL)), ref):
+                    bad.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert bad == []
+        assert C.facet_start(TOL) is C.facet_start(TOL)
+
     def test_infeasible_rows_have_no_start(self):
         # x1 + x2 = -1 has no nonnegative solution
         assert start_basis([[1.0, 1.0]], [-1.0], TOL) is None
