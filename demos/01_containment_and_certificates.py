@@ -48,9 +48,12 @@ except NotOptimalError as err:
 
 print()
 print("=== 4. Vertex-form containers give the same answers ===")
+# the box given by its vertices gets its facets by double description,
+# so both forms take the same facet program
 box = standard_container("box", 2)
+box_v = Container.from_vertices(box.vertices)
 P = PointSet(np.random.default_rng(1).uniform(-1, 1, (12, 2)))
-h = min_containment(P, box, method="hrep")
-v = min_containment(P, box, method="vrep")
-print(f"half-space formulation: rho = {h.rho:.10f}")
-print(f"vertex     formulation: rho = {v.rho:.10f}")
+h = min_containment(P, box)
+v = min_containment(P, box_v)
+print(f"half-space form: rho = {h.rho:.10f}")
+print(f"vertex     form: rho = {v.rho:.10f}")

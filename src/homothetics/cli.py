@@ -69,7 +69,11 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
 
 def _read_instance(args):
     try:
-        raw = sys.stdin.read() if args.input == "-" else open(args.input).read()
+        if args.input == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(args.input) as fh:
+                raw = fh.read()
         obj = json.loads(raw)
     except (OSError, json.JSONDecodeError) as exc:
         raise _CliError(f"cannot read instance: {exc}") from exc
@@ -94,7 +98,8 @@ def _read_instance(args):
 def _named_container(spec: str, dim: int | None) -> Container:
     if spec.startswith("@"):
         try:
-            return container_from_json(json.load(open(spec[1:])))
+            with open(spec[1:]) as fh:
+                return container_from_json(json.load(fh))
         except (OSError, json.JSONDecodeError) as exc:
             raise _CliError(f"cannot read container: {exc}") from exc
     if dim is None:

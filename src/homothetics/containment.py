@@ -1,22 +1,24 @@
 """Smallest-homothet containment and optimality certificates.
 
 ``min_containment`` finds the least rho >= 0 and a center c with every
-point of P inside c + rho*C.  Each container representation has one
-linear program, built in one place and shared by the solver, the
-certificate and the core-set center search:
+point of P inside c + rho*C.  A polytope is solved by
+``_polytope_program``, min t with gauge(p_i - c) <= offsets_i + t, which
+is containment at zero offsets and the core-set center search at
+others.  It alone picks the program, from the container's
+representation, and each representation has one:
 
 - facet program (facet normals a_k, ``Container.facets``): the largest
   lam.h over Lambda = {lam >= 0 : sum_k lam_k a_k = 0, sum lam = 1},
   d+1 rows and one column per facet.  Its LP dual, min t with
-  a_k.c + t >= h_k, gives the center and t from the row duals.  For
-  containment h_k = max_i a_k.p_i, since only the outermost point per
-  facet can bind; each facet weight goes to the lowest-index point
-  attaining h_k, giving the point weights.  Every polytope with facets
-  takes it, given or derived from the vertices.
+  a_k.c + t >= h_k, gives the center and t from the row duals.  Only
+  the outermost point per facet can bind, so h_k = max_i a_k.p_i -
+  offsets_i; each facet weight goes to the lowest-index point attaining
+  h_k, giving the point weights.  Every polytope with facets takes it,
+  given or derived from the vertices.
 - vertex program (vertices v_j): p_i = c + sum_j mu_ij v_j with
-  sum_j mu_ij = t; its duals give a weight and a supporting normal per
-  point.  It solves the vertex-only containers beyond the enumeration
-  bound, and ``method="vrep"`` forces it as the cross-check reference.
+  sum_j mu_ij = offsets_i + t; its duals give a weight and a supporting
+  normal per point.  Only the vertex-only containers beyond the
+  enumeration bound take it.
 
 Both programs are solved relative to the first point at unit spread
 and scaled back, so their answers scale and translate with the data.
@@ -158,16 +160,12 @@ def _at_precision(tol: Tolerance, rho: float, center) -> Tolerance:
 # -- solvers ------------------------------------------------------------------
 
 
-def min_containment(
-    P: PointSet, C: Container, tol: Tolerance = DEFAULT_TOL, method: str = "auto"
-) -> Solution:
+def min_containment(P: PointSet, C: Container, tol: Tolerance = DEFAULT_TOL) -> Solution:
     """Least rho with P inside some translate of rho*C.
 
-    method: "auto" takes the exact ball solver for balls, the facet
-    program where ``C.facets`` exists and the vertex program otherwise;
-    "hrep"/"vrep" force a polytope formulation (useful for cross-checks).
-    Every solution is checked to cover P before it is returned;
-    ``LpError`` otherwise.
+    A ball takes the exact enclosing-ball solver, every polytope
+    ``_polytope_program`` with zero offsets.  Every solution is checked to
+    cover P before it is returned; ``LpError`` otherwise.
     """
     _check_dims(P, C)
     if len(P) == 1:
@@ -175,62 +173,45 @@ def min_containment(
         d[0] = 1.0
         return Solution(0.0, P.points[0].copy(), (0,), (), d)
 
-    if method == "auto":
-        if C.kind is ContainerKind.BALL:
-            return _solve_ball(P, C, tol)
-        method = "hrep" if C.facets is not None else "vrep"
-    if method == "hrep":
-        if C.facets is None:
-            raise ValueError("hrep method needs container facets")
-        return _solve_hrep(P, C, tol)
-    if method == "vrep":
-        if C.vertices is None:
-            raise ValueError("vrep method needs container vertices")
-        return _solve_vrep(P, C, tol)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _solve_ball(P: PointSet, C: Container, tol: Tolerance) -> Solution:
-    ball = minimum_enclosing_ball(P.points, tol)
-    duals = np.zeros(len(P))
-    duals[list(ball.support)] = ball.weights
-    gauges = all_gauges(P, C, ball.center, tol)
-    _verify_cover(gauges, ball.radius, ball.center, tol)
-    active = _touching(gauges, ball.radius, _slack(ball.radius, ball.center, tol))
-    return Solution(ball.radius, ball.center, tuple(active), (), duals)
-
-
-def _solve_hrep(P: PointSet, C: Container, tol: Tolerance) -> Solution:
-    # only the outermost point per facet can bind: h_k = max_i a_k.p_i,
-    # taken relative to the first point
-    origin = P.points[0]
-    prods = (P.points - origin) @ C.facets.T  # (n, m)
-    rho, center, lam = _facet_program(C.facets, prods.max(axis=0), tol, C.facet_start(tol))
-    center = origin + center
-    rho = max(0.0, rho)
-    lam = lam / lam.sum()
-    # each facet weight goes to the lowest-index point attaining h_k
-    duals = np.bincount(np.argmax(prods, axis=0), weights=lam, minlength=len(P))
-    # a basic weight can sit at round-off (4e-17 for two vertices of the
-    # triangle in T cap -T); only weights above tol.eq count as active
-    active_normals = np.flatnonzero(lam > tol.eq).tolist()
+    if C.kind is ContainerKind.BALL:
+        ball = minimum_enclosing_ball(P.points, tol)
+        rho, center, active_normals = ball.radius, ball.center, ()
+        duals = np.zeros(len(P))
+        duals[list(ball.support)] = ball.weights
+    else:
+        t, center, duals, active_normals = _polytope_program(P.points, np.zeros(len(P)), C, tol)
+        rho = max(0.0, t)
     gauges = all_gauges(P, C, center, tol)
     _verify_cover(gauges, rho, center, tol)
     active = _touching(gauges, rho, _slack(rho, center, tol))
-    return Solution(rho, center, tuple(active), tuple(active_normals), duals)
+    return Solution(rho, center, tuple(active), active_normals, duals)
 
 
-def _solve_vrep(P: PointSet, C: Container, tol: Tolerance) -> Solution:
-    rho, center, lam, _ = _vertex_program(P.points, C.vertices, np.zeros(len(P)), tol)
-    rho = max(0.0, rho)
-    gauges = all_gauges(P, C, center, tol)
-    _verify_cover(gauges, rho, center, tol)
+def _polytope_program(points: np.ndarray, offsets: np.ndarray, C: Container, tol: Tolerance):
+    """min t  s.t.  gauge(p_i - c) <= offsets_i + t  for every point p_i of
+    a polytope C: the facet program where ``C.facets`` exists, the vertex
+    program otherwise.  Returns (t, c, point weights, active facets); the
+    weights are nonnegative and sum to one, and the active facets are the
+    rows of ``C.facets`` whose weight exceeds tol.eq (none on the vertex
+    program)."""
+    if C.facets is not None:
+        # only the outermost point per facet can bind:
+        # h_k = max_i a_k.p_i - offsets_i, taken relative to the first point
+        origin = points[0]
+        prods = (points - origin) @ C.facets.T - offsets[:, None]  # (n, m)
+        t, center, lam = _facet_program(C.facets, prods.max(axis=0), tol, C.facet_start(tol))
+        lam = lam / lam.sum()
+        # each facet weight goes to the lowest-index point attaining h_k
+        weights = np.bincount(np.argmax(prods, axis=0), weights=lam, minlength=len(points))
+        # a basic weight can sit at round-off (4e-17 for two vertices of the
+        # triangle in T cap -T); only weights above tol.eq count as active
+        return t, origin + center, weights, tuple(np.flatnonzero(lam > tol.eq).tolist())
+    t, center, lam, _ = _vertex_program(points, C.vertices, offsets, tol)
     lam = np.clip(lam, 0.0, None)
     total = lam.sum()
     if total > 0:
         lam /= total
-    active = _touching(gauges, rho, _slack(rho, center, tol))
-    return Solution(rho, center, tuple(active), (), lam)
+    return t, center, lam, ()
 
 
 def _verify_cover(gauges: np.ndarray, rho: float, center, tol: Tolerance) -> None:

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .containment import (
-    _facet_program,
+    _polytope_program,
     _roundoff,
     _slack,
-    _vertex_program,
     all_gauges,
     min_containment,
     support_points,
@@ -177,27 +176,17 @@ def _find_covering_center(
     """A center c of S (gauge(s - c) <= radius on S) with
     gauge(p - c) <= (1+eps) radius on all of P, or None; C is a polytope.
 
-    Both conditions become one containment program: the facet program
-    with h_k the larger of the two per-facet maxima (``C.facets``), or
-    the vertex program with offsets radius on S and (1+eps) radius on P.
-    Its value t is the largest violation, so near-ties within tol.feas
-    relative to (1+eps) radius, or within the round-off of P's
-    coordinates, are accepted.
+    Both conditions become one ``_polytope_program`` over P and S, with
+    offsets (1+eps) radius on P and radius on S.  Its value t is the
+    largest violation, so near-ties within tol.feas relative to (1+eps)
+    radius, or within the round-off of P's coordinates, are accepted.
     """
     allowed = (1.0 + eps) * radius
     slack = max(tol.feas * allowed, _roundoff(P.points))
-    A = C.facets
-    if A is not None:
-        # relative to the first point, added back to the center
-        origin = P.points[0]
-        prods = (P.points - origin) @ A.T
-        h = np.maximum(prods[idx].max(axis=0) - radius, prods.max(axis=0) - allowed)
-        t, center, _ = _facet_program(A, h, tol, C.facet_start(tol))
-        center = origin + center
-    else:
-        pts = np.vstack([P.points[idx], P.points])
-        offsets = np.concatenate([np.full(len(idx), radius), np.full(len(P), allowed)])
-        t, center, _, _ = _vertex_program(pts, C.vertices, offsets, tol)
+    # P first, so that the facet program solves about P's first point
+    pts = np.vstack([P.points, P.points[idx]])
+    offsets = np.concatenate([np.full(len(P), allowed), np.full(len(idx), radius)])
+    t, center, _, _ = _polytope_program(pts, offsets, C, tol)
     return center if t <= slack else None
 
 

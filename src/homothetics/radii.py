@@ -20,8 +20,7 @@ solve per subset wherever a closed form applies:
 
 Only containers whose facets or facet duals exceed the enumeration bound
 (``instances.ENUM_BOUND``; e.g. the 6-cross-polytope) solve every
-(k+1)-subset, skipping, for symmetric containers, the subsets whose
-pair-radius bound cannot beat the incumbent.  Ties within 1e-12 relative
+(k+1)-subset with ``min_containment``.  Ties within 1e-12 relative
 of the maximum go to the lexicographically smallest subset.  The winner
 is re-solved with ``min_containment``, which must agree within tol.eq
 relative (``LpError`` otherwise) and gives the reported value.  A ball
@@ -53,7 +52,6 @@ from .geometry import (
     InvalidContainer,
     PointSet,
     Tolerance,
-    gauge,
 )
 from .lp import LpError
 
@@ -239,32 +237,9 @@ def _dual_values(P: PointSet, C: Container, size: int):
 
 
 def _solved_values(P: PointSet, C: Container, k: int, tol: Tolerance):
-    """R(S, C) by one solve per (k+1)-subset.  For a symmetric container,
-    R(S) <= min(2k/(k+1), k) * max pair radius in S, so a subset whose
-    bound cannot beat the incumbent (seeded by a dispersion-greedy subset)
-    is skipped, with value -inf."""
-    n, size = len(P), k + 1
-    pair, incumbent = None, -np.inf
-    if C.is_symmetric(tol):
-        pair = np.zeros((n, n))
-        for i, j in combinations(range(n), 2):
-            pair[i, j] = pair[j, i] = gauge(C, 0.5 * (P.points[i] - P.points[j]), tol)
-        factor = min(2.0 * k / (k + 1.0), float(k))
-        i0, j0 = np.unravel_index(int(np.argmax(pair)), pair.shape)
-        seed = [int(i0), int(j0)]
-        while len(seed) < size:
-            rest = [p for p in range(n) if p not in seed]
-            seed.append(max(rest, key=lambda p: (min(pair[p, s] for s in seed), -p)))
-        val = min_containment(P.subset(sorted(seed)), C, tol).rho
-        incumbent = val - _TIE * val  # equal-value subsets still win on lex order
-    for idx in _subset_chunks(n, size):
-        values = np.full(len(idx), -np.inf)
-        for row, sub in enumerate(idx):
-            if pair is not None and factor * pair[np.ix_(sub, sub)].max() <= incumbent:
-                continue
-            values[row] = min_containment(P.subset(sub), C, tol).rho
-            incumbent = max(incumbent, values[row])
-        yield idx, values
+    """R(S, C) by one ``min_containment`` per (k+1)-subset."""
+    for idx in _subset_chunks(len(P), k + 1):
+        yield idx, np.array([min_containment(P.subset(sub), C, tol).rho for sub in idx])
 
 
 def _staircase(chunks) -> list[tuple[tuple[int, ...], float]]:

@@ -10,10 +10,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from homothetics import Container, PointSet, gauge, reflect
+from homothetics import DEFAULT_TOL, Container, PointSet, gauge, reflect
 from homothetics.containment import (
     NotOptimalError,
     Solution,
+    _vertex_program,
     make_certificate,
     min_containment,
 )
@@ -209,16 +210,17 @@ def test_criterion_5_certificate_soundness():
 
 
 def test_criterion_6_oracle_equivalence():
-    with criterion(6, "H-rep vs V-rep solves; exact ball vs subset brute force"):
+    with criterion(6, "facet vs vertex programs; exact ball vs subset brute force"):
         families = ("box", "cross", "cap", "negT")
         for t in range(200):
             d = 2 + t % 2
             n = d + 2 + t % 6
             P = random_pointset(n, d, seed=90_000 + t)
             C = container_family(families[t % 4], d)
-            h = min_containment(P, C, method="hrep")
-            v = min_containment(P, C, method="vrep")
-            assert abs(h.rho - v.rho) <= TOL
+            h = min_containment(P, C)
+            assert h.active_normals  # facet program
+            v = _vertex_program(P.points, np.asarray(C.vertices), np.zeros(n), DEFAULT_TOL)[0]
+            assert abs(h.rho - v) <= TOL
         for t in range(30):
             d = 1 + t % 4
             n = min(12, d + 2 + t % 9)

@@ -1,10 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from homothetics import container_to_json
 from homothetics.cli import main
+from homothetics.instances import standard_container
 from homothetics.lp import LpError
 
 
@@ -76,6 +82,22 @@ class TestSolve:
         code, out, _ = run_cli(capsys, ["solve", "--input", str(path), "--container", "ball"])
         assert code == 0
         assert json.loads(out)["rho"] == pytest.approx(np.sqrt(2.0), abs=1e-9)
+
+    def test_input_files_are_closed(self, capsys, tmp_path):
+        # under -X dev an unclosed file prints a ResourceWarning to stderr
+        _, gen_out, _ = run_cli(capsys, ["gen", "regular-simplex", "--dim", "2"])
+        inst, box = tmp_path / "inst.json", tmp_path / "box.json"
+        inst.write_text(gen_out)
+        box.write_text(json.dumps(container_to_json(standard_container("box", 2))))
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "homothetics.cli", "solve",
+             "--input", str(inst), "--container", f"@{box}"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout)["rho"] > 0
+        assert "ResourceWarning" not in proc.stderr
 
     def test_malformed_input_exit_2(self, capsys, monkeypatch):
         code, _, err = run_cli(capsys, ["solve"], stdin="{not json", monkeypatch=monkeypatch)

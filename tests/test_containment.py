@@ -18,6 +18,7 @@ from homothetics import containment
 from homothetics.containment import (
     NotOptimalError,
     _merge_per_point,
+    _polytope_program,
     _slack,
     _supporting_pairs,
     _facet_program,
@@ -74,6 +75,12 @@ def linprog_vertex_program(scipy_opt, P: PointSet, V: np.ndarray) -> float:
     return float(ref.fun)
 
 
+def vertex_program_rho(P: PointSet, C: Container) -> float:
+    """R(P, C) by the in-house vertex program on C's vertices, whatever
+    program ``min_containment`` takes for C."""
+    return _vertex_program(P.points, np.asarray(C.vertices), np.zeros(len(P)), DEFAULT_TOL)[0]
+
+
 def difference_body(d: int) -> np.ndarray:
     """Vertices x - y (x != y) of T - T for the regular simplex T."""
     X = regular_simplex(d)[0].points
@@ -120,12 +127,6 @@ class TestMinContainment:
         assert sol.rho == 0.0
         assert np.allclose(sol.center, [2, 3])
         assert sol.duals[0] == 1.0
-
-    def test_method_must_fit_the_container(self):
-        P = random_pointset(4, 2, seed=1)
-        for method in ("ball", "hrep", "vrep", "simplex"):
-            with pytest.raises(ValueError):
-                min_containment(P, Container.ball(2), method=method)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -190,10 +191,8 @@ class TestInvariances:
         # facets(sigma V) = facets(V) / sigma, setwise
         assert _same_point_set(sigma * C_s.facets, np.asarray(C.facets), 1e-9)
         P = random_pointset(12, d, seed=seed, distribution="gauss")
-        base = min_containment(P, C, method="hrep").rho
-        assert min_containment(P.scale(sigma), C_s, method="hrep").rho == pytest.approx(
-            base, abs=1e-6
-        )
+        base = min_containment(P, C).rho
+        assert min_containment(P.scale(sigma), C_s).rho == pytest.approx(base, abs=1e-6)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -209,13 +208,18 @@ class TestInvariances:
             "V": Container.from_vertices(simplex_cap_neg(d).vertices),
             "V-vrep": Container.from_vertices(simplex_cap_neg(d).vertices),
         }[form]
-        method = "vrep" if form == "V-vrep" else "auto"
         P = random_pointset(n, d, seed=seed, distribution="gauss")
         perm = np.random.default_rng(seed).permutation(n)
         Q = P.subset(perm)
-        sol, sol_q = min_containment(P, C, method=method), min_containment(Q, C, method=method)
-        assert sol_q.rho == pytest.approx(sol.rho, rel=1e-9)
+
+        def rho(X):
+            if form == "V-vrep":  # the vertex program on the same body
+                return vertex_program_rho(X, C)
+            return min_containment(X, C).rho
+
+        assert rho(Q) == pytest.approx(rho(P), rel=1e-9)
         if form == "ball":
+            sol, sol_q = min_containment(P, C), min_containment(Q, C)
             # general position: the touching set, hence the certificate's
             # point set, is unique
             cert, cert_q = make_certificate(P, C, sol), make_certificate(Q, C, sol_q)
@@ -258,20 +262,20 @@ class TestInvariances:
         P = random_pointset(8, d, seed=seed, distribution="gauss")
         rho = min_containment(P, C).rho
         for other in (
-            min_containment(P, Container.from_normals(C.normals)),
-            min_containment(P, V),
-            min_containment(P, C, method="vrep"),
+            min_containment(P, Container.from_normals(C.normals)).rho,
+            min_containment(P, V).rho,
+            vertex_program_rho(P, C),
         ):
-            assert other.rho == pytest.approx(rho, rel=1e-6)
+            assert other == pytest.approx(rho, rel=1e-6)
 
     def test_hrep_vrep_agree(self):
         for seed in range(10):
             d = 2 + seed % 3
             P = random_pointset(6 + seed % 4, d, seed=41 + seed)
             C = simplex_cap_neg(d)
-            h = min_containment(P, C, method="hrep")
-            v = min_containment(P, C, method="vrep")
-            assert h.rho == pytest.approx(v.rho, abs=1e-6)
+            h = min_containment(P, C)
+            assert h.active_normals  # facet program
+            assert h.rho == pytest.approx(vertex_program_rho(P, C), abs=1e-6)
 
 
 class TestDerivedFacetSolves:
@@ -298,8 +302,7 @@ class TestDerivedFacetSolves:
             for seed in range(3):
                 P = random_pointset(9, V.shape[1], seed=700 + 10 * t + seed, distribution="gauss")
                 auto = min_containment(P, C)
-                ref = min_containment(P, C, method="vrep")
-                assert auto.rho == pytest.approx(ref.rho, abs=1e-6)
+                assert auto.rho == pytest.approx(vertex_program_rho(P, C), abs=1e-6)
                 assert auto.active_normals  # facet path: rows of C.facets
 
     def test_beyond_the_bound_takes_vertex_program(self, sphere_polytope):
@@ -375,7 +378,7 @@ class TestDerivedFacetSolves:
         shifted = center - 1e-3 * y
         assert np.max(np.abs(P.points - shifted)) < rho
 
-    def test_box_v_solve_and_certificate_skip_vertex_program(self, monkeypatch):
+    def test_box_v_solve_and_certificate_skip_vertex_program(self, monkeypatch, sphere_polytope):
         calls = []
 
         def counting(*args, **kwargs):
@@ -387,7 +390,8 @@ class TestDerivedFacetSolves:
         P = random_pointset(30, 5, seed=89)
         make_certificate(P, C, min_containment(P, C))
         assert calls == []
-        min_containment(P.subset(range(6)), C, method="vrep")  # the patch is live
+        # the patch is live: a body beyond the bound takes the vertex program
+        min_containment(random_pointset(4, 8, seed=89), sphere_polytope)
         assert calls == [1]
 
     def test_many_derived_facets_take_facet_program(self, monkeypatch):
@@ -412,7 +416,7 @@ class TestDerivedFacetSolves:
                 m.setattr(containment, "solve_lp", counting)
                 sol = min_containment(P, C)
             assert rows == [9] and sol.active_normals
-            assert sol.rho == pytest.approx(min_containment(P, C, method="vrep").rho, rel=1e-9)
+            assert sol.rho == pytest.approx(vertex_program_rho(P, C), rel=1e-9)
             make_certificate(P, C, sol)
         rows.clear()
         e, c = np.eye(8)[7], np.append(-0.5 * S[0], 0.0)
@@ -512,6 +516,38 @@ class TestFacetProgram:
         lam = _facet_program(C.facets, h, DEFAULT_TOL)[2]
         assert np.count_nonzero(lam) == 3 and np.sort(lam)[-3] < 1e-15
         assert min_containment(P, C).active_normals == (1, 4)
+
+
+class TestPolytopeProgram:
+    """``_polytope_program`` with per-point offsets: the facet path against
+    the vertex program on the same body."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["box", "cross", "cap", "negT"]),
+        st.integers(2, 5),
+        st.integers(2, 12),
+        st.floats(-6.0, 3.0),
+        st.integers(0, 10_000),
+    )
+    @example("box", 2, 2, -6.0, 0)
+    @example("cap", 5, 12, 3.0, 1)
+    def test_offsets_match_the_vertex_program(self, tag, d, n, log_scale, seed):
+        C = corpus_container(tag, d)
+        assert C.kind is ContainerKind.DUAL
+        rng = np.random.default_rng(seed)
+        P = PointSet(10.0**log_scale * rng.standard_normal((n, d)))
+        # offsets below R(P, C), so the optimal t stays positive (the
+        # vertex program's t is nonnegative)
+        offsets = min_containment(P, C).rho * rng.uniform(0.0, 0.9, n)
+        t, center, weights, active = _polytope_program(P.points, offsets, C, DEFAULT_TOL)
+        ref = _vertex_program(P.points, np.asarray(C.vertices), offsets, DEFAULT_TOL)[0]
+        assert t == pytest.approx(ref, rel=1e-9)
+        assert active  # facet program
+        assert np.all(weights >= 0.0)
+        assert weights.sum() == pytest.approx(1.0, rel=1e-12)
+        gauges = ((P.points - center) @ C.facets.T).max(axis=1)
+        assert np.all(gauges <= offsets + t + 1e-7 * (t + offsets.max()))
 
 
 class TestCertificates:
