@@ -44,7 +44,7 @@ from .geometry import (
     Tolerance,
     _facet_rows,
     _gauge_vpoly,
-    gauge,
+    _gauges,
 )
 from .lp import HullResult, LinearProgram, LpError, LpStatus, in_convex_hull, solve_lp
 from .meb import minimum_enclosing_ball
@@ -56,7 +56,6 @@ __all__ = [
     "min_containment",
     "make_certificate",
     "halfspace_lemma_check",
-    "touching_indices",
     "all_gauges",
     "support_points",
 ]
@@ -113,22 +112,7 @@ def all_gauges(P: PointSet, C: Container, center, tol: Tolerance) -> np.ndarray:
     """Gauge of every point relative to the center, vectorised where the
     container representation allows it."""
     _check_dims(P, C)
-    diffs = P.points - np.asarray(center, dtype=float)
-    if C.kind is ContainerKind.BALL:
-        return np.linalg.norm(diffs, axis=1)
-    if C.facets is not None:
-        return np.clip((C.facets @ diffs.T).max(axis=0), 0.0, None)
-    return np.array([gauge(C, x, tol) for x in diffs])
-
-
-def touching_indices(P: PointSet, C: Container, rho: float, center, tol: Tolerance) -> list[int]:
-    """Points whose gauge distance from the center matches rho within
-    the gauge slack of ``_slack``."""
-    return _touching(all_gauges(P, C, center, tol), rho, _slack(rho, center, tol))
-
-
-def _touching(gauges: np.ndarray, rho: float, slack: float) -> list[int]:
-    return np.nonzero(gauges >= rho - slack)[0].tolist()
+    return _gauges(C, P.points - np.asarray(center, dtype=float), tol)
 
 
 # round-off of a gauge about a center, relative to its largest coordinate
@@ -183,7 +167,7 @@ def min_containment(P: PointSet, C: Container, tol: Tolerance = DEFAULT_TOL) -> 
         rho = max(0.0, t)
     gauges = all_gauges(P, C, center, tol)
     _verify_cover(gauges, rho, center, tol)
-    active = _touching(gauges, rho, _slack(rho, center, tol))
+    active = np.flatnonzero(gauges >= rho - _slack(rho, center, tol)).tolist()
     return Solution(rho, center, tuple(active), active_normals, duals)
 
 
@@ -300,11 +284,10 @@ def make_certificate(
     the normals' hull are then found by ``_balance``: first the normals
     of the solution's own dual support alone (active facets at points of
     positive weight; the ball's support), whose weights least squares
-    gives with no LP; where those do not balance, column generation by
-    the hull test, which takes in the touching normal that most violates
-    its separator.  "separated" is raised only when that separator holds
-    for every touching normal.  The weights are merged per point, at most
-    d+1 of them, and the certificate is checked before it is returned.
+    gives with no LP; where those do not balance, one hull test over
+    every touching normal.  Its separator, raised as "separated", holds
+    for all of them.  The weights are merged per point, at most d+1 of
+    them, and the certificate is checked before it is returned.
     Slacks are relative to rho (``_slack``), so the test is free of the
     data's scale; when rho is so small next to the center's coordinates
     that their round-off exceeds tol.feas * rho, the test runs at that
@@ -354,46 +337,30 @@ def _merge_per_point(idx: np.ndarray, normals: np.ndarray, w: np.ndarray):
     their summed weights scaled to sum one, and their weight-averaged
     normals.
     """
-    points = np.array(sorted(set(idx.tolist())))  # the working set is small
+    points = np.array(sorted(set(idx.tolist())))  # the kept pairs are few
     M = (idx == points[:, None]) * w  # weight of each pair under its point
     weight = M.sum(axis=1)
     return points, weight / weight.sum(), (M @ normals) / weight[:, None]
 
 
-# a separator y counts for a normal a when a.y <= -1 + _SEPARATION_SLACK
-_SEPARATION_SLACK = 1e-9
-
-
 def _balance(normals: np.ndarray, seed: np.ndarray, tol: Tolerance):
-    """Working-set test of 0 in conv(normals).
+    """Test of 0 in conv(normals).
 
-    The working set W starts at the rows where ``seed`` is true (row 0
-    when none is).  Least squares on [N_W^T; 1] w = e_{d+1} gives the
-    weights of an optimal solution's own support directly: when w >= 0
-    and the residual is at most tol.feas, they are the result, with no
-    LP.  Otherwise column generation runs: W grows by the row a most
-    violating the separator y of the failed hull test (largest a.y),
-    until the test holds or y separates every row.  Returns (working
-    rows, ``HullResult`` on those rows).
+    Least squares on [N_S^T; 1] w = e_{d+1} over the rows S where
+    ``seed`` is true gives the weights of an optimal solution's own
+    support directly: when w >= 0 and the residual is at most tol.feas,
+    they are the result, with no LP.  Otherwise one hull test runs over
+    every row; by LP duality its separator y, when it fails, has
+    a.y <= -1 for every row a.  Returns (rows, ``HullResult`` on those
+    rows).
     """
     work = np.flatnonzero(seed)
-    if work.size == 0:
-        work = np.zeros(1, dtype=int)
-    M, e = _facet_rows(normals[work])
-    w = np.linalg.lstsq(M, e, rcond=None)[0]
-    if w.min() >= 0.0 and np.abs(M @ w - e).max() <= tol.feas:
-        return work, HullResult(True, w, None)
-    origin = np.zeros(normals.shape[1])
-    while True:
-        hull = in_convex_hull(normals[work], origin, tol)
-        if hull.contains:
-            return work, hull
-        reach = normals @ hull.separator
-        reach[work] = -np.inf
-        j = int(np.argmax(reach))
-        if reach[j] <= -1.0 + _SEPARATION_SLACK:
-            return work, hull
-        work = np.append(work, j)
+    if work.size:
+        M, e = _facet_rows(normals[work])
+        w = np.linalg.lstsq(M, e, rcond=None)[0]
+        if w.min() >= 0.0 and np.abs(M @ w - e).max() <= tol.feas:
+            return work, HullResult(True, w, None)
+    return np.arange(len(normals)), in_convex_hull(normals, np.zeros(normals.shape[1]), tol)
 
 
 def _supporting_pairs(P, C, sol, touching, slack, tol):
@@ -467,18 +434,15 @@ def support_points(
 
 
 def halfspace_lemma_check(P: PointSet, sol: Solution, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Euclidean optimality: the origin lies in the hull of the touching
-    directions (p_i - c)/|p_i - c|, by the working-set hull test of
-    ``make_certificate``.  Equivalent to: every half-space with the center
-    on its boundary contains a touching point."""
-    rho, center = sol.rho, sol.center
-    if rho <= _roundoff(center):
+    """Euclidean optimality: ``make_certificate`` in the ball, so the
+    origin lies in the hull of the touching directions (p_i - c)/|p_i - c|
+    and c + rho*B covers P.  Equivalent to: every half-space with the
+    center on its boundary contains a touching point.  True at zero
+    radius, False where the certificate raises ``NotOptimalError``."""
+    if sol.rho <= _roundoff(sol.center):
         return True
-    tol = _at_precision(tol, rho, center)
-    ball = Container.ball(P.dim)
-    slack = _slack(rho, center, tol)
-    touching = np.flatnonzero(all_gauges(P, ball, center, tol) >= rho - slack)
-    if touching.size == 0:
+    try:
+        make_certificate(P, Container.ball(P.dim), sol, tol)
+    except NotOptimalError:
         return False
-    _, normals, seed = _supporting_pairs(P, ball, sol, touching, slack, tol)
-    return _balance(normals, seed, tol)[1].contains
+    return True

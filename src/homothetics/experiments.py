@@ -129,18 +129,16 @@ def _guard_rows(rows: list[Row], instance: str, fn) -> None:
 def _random_sets(params, count, seed, d_hi, n_hi):
     """The seeded random instances of one experiment, as (label, P, rng).
 
-    ``params`` may override the count ("random_instances") and the base
-    seed ("seed").  Instance t draws d in [2, d_hi) and then n in
-    [d+2, n_hi) from one PCG64 stream seeded by the base seed, and takes
-    ``random_pointset(n, d, base + 1 + t)``; further draws of the caller
-    come from the yielded stream, after n.
+    ``params`` may override the count ("random_instances").  Instance t
+    draws d in [2, d_hi) and then n in [d+2, n_hi) from one PCG64 stream
+    seeded by ``seed``, and takes ``random_pointset(n, d, seed + 1 + t)``;
+    further draws of the caller come from the yielded stream, after n.
     """
-    seed0 = params.get("seed", seed)
-    rng = np.random.Generator(np.random.PCG64(seed0))
+    rng = np.random.Generator(np.random.PCG64(seed))
     for t in range(params.get("random_instances", count)):
         d = int(rng.integers(2, d_hi))
         n = int(rng.integers(d + 2, n_hi))
-        yield f"random[{seed0 + 1 + t}] n={n} d={d}", random_pointset(n, d, seed=seed0 + 1 + t), rng
+        yield f"random[{seed + 1 + t}] n={n} d={d}", random_pointset(n, d, seed=seed + 1 + t), rng
 
 
 def _family(name: str, d: int, tol: Tolerance) -> Container:
@@ -345,7 +343,7 @@ def _exp_coreset_meb(params, tol):
     # sharpness: d/(d+1) > (1+eps)^2 k/(k+1) at d=8, eps=0.3, k=1 makes the
     # two-point radius too small, so the bound ceil(1/(2 eps+eps^2))+1 = 3
     # is attained exactly
-    d, eps = params.get("sharp_dim", 8), params.get("sharp_eps", 0.3)
+    d, eps = 8, 0.3
     P, _ = regular_simplex(d)
     size = optimal_coreset_size(P, container("ball", d), eps, tol)
     rows.append(_value_row(f"T^{d}/ball", f"size(eps={eps}) sharp", size, _meb_size_bound(eps), 0.0))
@@ -396,7 +394,7 @@ def _exp_center_conformity(params, tol):
         ok = center_conformity_bound_check(P, cs.indices, max(cs.eps_achieved, 1e-12), tol)
         rows.append(_flag_row(label, f"factor(eps={cs.eps_achieved:.4g})", ok))
     # ambiguous-center failure and its repair
-    d, tau, eps = params.get("box_dim", 3), params.get("tau", 1.0), params.get("box_eps", 0.9)
+    d, tau, eps = 3, 1.0, 0.9
     P = box_ambiguity_instance(d, tau)
     box = standard_container("box", d)
     pair = [len(P) - 2, len(P) - 1]

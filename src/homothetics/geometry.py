@@ -271,11 +271,12 @@ class Container:
         return {}
 
     def is_symmetric(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        """True when the body equals its reflection -C (checked setwise)."""
+        """True when the body equals its reflection -C (checked setwise,
+        relative to the largest coordinate, so free of the data's scale)."""
         if self.kind is ContainerKind.BALL:
             return True
         arr = self.normals if self.normals is not None else self.vertices
-        return _same_point_set(arr, -arr, 10 * tol.eq)
+        return _same_point_set(arr, -arr, 10 * tol.eq * float(np.abs(arr).max()))
 
 
 def _facet_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -355,11 +356,17 @@ def gauge(container: Container, x, tol: Tolerance = DEFAULT_TOL) -> float:
     if x.shape[0] != container.dim:
         raise DimensionMismatch(f"point dim {x.shape[0]} vs container dim {container.dim}")
     _check_finite(x, "point")
-    if container.kind is ContainerKind.BALL:
-        return float(np.linalg.norm(x))
-    if container.facets is not None:
-        return max(0.0, float(np.max(container.facets @ x)))
-    return _gauge_vpoly(container.vertices, x, tol)[0]
+    return float(_gauges(container, x[None, :], tol)[0])
+
+
+def _gauges(C: Container, X: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Gauge of every row of X: vectorised for the ball and for facets,
+    one ``_gauge_vpoly`` program per row for vertex-only bodies."""
+    if C.kind is ContainerKind.BALL:
+        return np.linalg.norm(X, axis=1)
+    if C.facets is not None:
+        return np.clip((C.facets @ X.T).max(axis=0), 0.0, None)
+    return np.array([_gauge_vpoly(C.vertices, x, tol)[0] for x in X])
 
 
 def _gauge_vpoly(vertices: np.ndarray, x: np.ndarray, tol: Tolerance):

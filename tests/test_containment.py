@@ -668,6 +668,13 @@ class TestHalfspaceLemma:
         assert halfspace_lemma_check(P, sol)
         assert len(sol.active_points) == 4
 
+    def test_rejects_an_uncovering_radius(self):
+        # the outermost directions balance about the optimal center, but
+        # the ball of radius 0.9 rho there does not cover P
+        P = random_pointset(20, 3, seed=71)
+        sol = min_containment(P, Container.ball(3))
+        assert not halfspace_lemma_check(P, replace(sol, rho=0.9 * sol.rho))
+
 
 class TestDirectCertificates:
     """A certificate takes the weights of the solution's own support,
@@ -722,9 +729,28 @@ class TestDirectCertificates:
                 assert not halfspace_lemma_check(P, off)
         assert calls
 
+    def test_separated_candidate_takes_one_hull_lp_over_every_normal(self, monkeypatch):
+        # 400 points on a spherical cap about c, as in
+        # TestBallPath::test_separator_holds_for_every_touching_normal: the
+        # support weights do not balance, so one hull test sees all 400
+        # touching normals
+        rng = np.random.default_rng(8)
+        center = np.array([0.3, -1.2, 2.0])
+        dirs = rng.standard_normal((400, 3)) * [0.4, 0.4, 1.0]
+        dirs[:, 2] = np.abs(dirs[:, 2]) + 0.2
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        P = PointSet(center + dirs)
+        calls = self._counting(monkeypatch)
+        weights = np.zeros(400)
+        weights[:2] = 0.5
+        with pytest.raises(NotOptimalError) as err:
+            make_certificate(P, Container.ball(3), Solution(1.0, center, (), (), weights))
+        assert err.value.reason == "separated"
+        assert calls == [400]
+
     def test_halfspace_lemma_agrees_with_the_full_hull_test(self):
-        # the working-set test against one hull LP over every touching
-        # direction, on optimal and displaced centers
+        # the certificate's balance step against one hull LP over every
+        # touching direction, on optimal and displaced centers
         for seed in range(8):
             P = random_pointset(40, 3, seed=400 + seed, distribution="sphere")
             sol = min_containment(P, Container.ball(3))
@@ -740,7 +766,7 @@ class TestDirectCertificates:
 
 class TestBallPath:
     """The enclosing-ball solve and its certificate, free of the data's
-    scale, with a working-set hull test."""
+    scale, with one hull test over every touching normal."""
 
     @settings(max_examples=60, deadline=None)
     @given(

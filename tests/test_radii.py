@@ -13,6 +13,7 @@ from homothetics.instances import (
     random_pointset,
     regular_simplex,
     simplex_cap_neg,
+    simplex_vertices,
     standard_container,
 )
 from homothetics.radii import (
@@ -440,3 +441,25 @@ class TestScaleFreeChecks:
         C = Container.ball(3)
         core = core_radius(P, C, k)
         assert intersection_radius_check(P, C, k, core=core) == pytest.approx(core.value, rel=1e-9)
+
+    @staticmethod
+    def _scaled_body(tag: str, sigma: float) -> Container:
+        X = simplex_vertices(3)
+        if tag == "T-v":
+            return Container.from_vertices(sigma * X)
+        if tag == "negT-h":
+            return Container.from_normals(X / sigma)
+        if tag == "box-v":
+            return Container.from_vertices(sigma * standard_container("box", 3).vertices)
+        C = simplex_cap_neg(3) if tag == "cap" else standard_container("cross", 3)
+        return Container.dual_rep(C.normals / sigma, sigma * C.vertices)
+
+    @pytest.mark.parametrize("tag", ["T-v", "negT-h", "cap", "box-v", "cross"])
+    @pytest.mark.parametrize("sigma", [1e-8, 1e-6, 1e-3, 1e3, 1e6])
+    def test_symmetry_and_pair_radius_free_of_scale(self, tag, sigma):
+        # P and C scaled together: the symmetry test and R_1 do not move
+        P = random_pointset(8, 3, seed=1)
+        C, base = self._scaled_body(tag, sigma), self._scaled_body(tag, 1.0)
+        assert C.is_symmetric() == base.is_symmetric()
+        ref = core_radius(P, base, 1).value
+        assert core_radius(P.scale(sigma), C, 1).value == pytest.approx(ref, rel=1e-9)
