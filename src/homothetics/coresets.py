@@ -46,7 +46,7 @@ __all__ = [
 @dataclass(frozen=True)
 class CoreSet:
     indices: tuple[int, ...]
-    radius: float  # R(S, C)
+    radius: float  # R(S, C); for a zero-core-set R(P), proven equal to R(S) within tol.eq
     center: np.ndarray  # a center of S
     eps_achieved: float
     center_conform: bool
@@ -97,20 +97,12 @@ def greedy_coreset(
 def extract_zero_coreset(P: PointSet, C: Container, tol: Tolerance = DEFAULT_TOL) -> CoreSet:
     """At most d+1 points with the full radius, from the solution support.
 
-    For polytopes, when the solver's center of S does not cover P, the
-    center set of S is searched for one that does; the Euclidean center
-    is unique, so a ball needs no search.
+    ``support_points`` proves R(S) = R(P) within tol.eq, so the full
+    solve's center covers P at R(P) and is itself a center of S: the
+    result is center-conform by construction, with no second solve.
     """
     sol = min_containment(P, C, tol)
-    idx = support_points(P, C, sol, tol)
-    sub = min_containment(P.subset(idx), C, tol)
-    achieved = _coverage_eps(all_gauges(P, C, sub.center, tol), sub.rho, tol)
-    conform = achieved <= tol.eq
-    if not conform and C.kind is not ContainerKind.BALL:
-        center = _find_covering_center(P, C, list(idx), sub.rho, 0.0, tol)
-        if center is not None:
-            return CoreSet(tuple(idx), sub.rho, center, 0.0, True)
-    return CoreSet(tuple(idx), sub.rho, sub.center, achieved, conform)
+    return CoreSet(support_points(P, C, sol, tol), sol.rho, sol.center, 0.0, True)
 
 
 def optimal_coreset_size(

@@ -32,6 +32,7 @@ from .instances import (
     standard_container,
     symmetric_counterexample,
 )
+from .lp import in_convex_hull
 from .radii import (
     BudgetExceeded,
     core_radius,
@@ -405,43 +406,6 @@ def _exp_center_conformity(params, tol):
     return rows
 
 
-def _simplex_distance(target: np.ndarray, vertices: np.ndarray, tol: Tolerance):
-    """Certified Euclidean distance from target to conv(vertices).
-
-    Pairwise Frank-Wolfe with exact line search; each step only asks the
-    linear-minimisation oracle for a best/worst vertex.  Returns a lower
-    bound valid via the final duality gap.
-    """
-    m = vertices.shape[0]
-    w = np.full(m, 1.0 / m)
-    x = w @ vertices
-    for _ in range(100_000):
-        grad = 2.0 * (x - target)
-        scores = vertices @ grad
-        fw = int(np.argmin(scores))
-        active = np.nonzero(w > 1e-14)[0]
-        away = int(active[np.argmax(scores[active])])
-        gap = float(grad @ x - scores[fw])
-        if gap <= tol.eq * 1e-2:
-            break
-        direction = vertices[fw] - vertices[away]
-        gmax = w[away]
-        denom = float(direction @ direction)
-        if denom <= 1e-300:
-            break
-        step = min(gmax, max(0.0, float(-(x - target) @ direction) / denom))
-        if step <= 0.0:
-            break
-        w[fw] += step
-        w[away] -= step
-        x = x + step * direction
-    dist_sq = float((x - target) @ (x - target))
-    grad = 2.0 * (x - target)
-    gap = float(grad @ x - np.min(vertices @ grad))
-    lower_sq = max(0.0, dist_sq - gap)
-    return float(np.sqrt(dist_sq)), float(np.sqrt(lower_sq))
-
-
 def _exp_panigrahy(params, tol):
     rows = []
     for d in params.get("dims", (3, 4, 5, 6)):
@@ -450,15 +414,19 @@ def _exp_panigrahy(params, tol):
         S = PointSet(X[:d])
         sol = min_containment(S, neg, tol)
         body = sol.center + sol.rho * (-X)  # vertices of c_S + (d-1) * (-T^d)
-        upper, lower = _simplex_distance(X[d], body, tol)
+        # the hull test's separator y has y.v <= y.x - 1 on every vertex v,
+        # so 1/|y| is a certified lower bound on the distance from x
+        hull = in_convex_hull(body, X[d], tol)
+        lower = 0.0 if hull.contains else 1.0 / float(np.linalg.norm(hull.separator))
+        reference = float(1 / np.sqrt(2)) + tol.eq
         rows.append(
             Row(
                 f"T^{d}/-T^{d}",
                 f"dist(last vertex, c_S+{sol.rho:.4g}(-T)) > 1/sqrt(2)",
                 lower,
-                float(1 / np.sqrt(2)) + tol.eq,
-                upper - lower,
-                lower > 1 / np.sqrt(2) + tol.eq,
+                reference,
+                max(0.0, reference - lower),
+                lower > reference,
             )
         )
     return rows

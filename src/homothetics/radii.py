@@ -27,6 +27,10 @@ relative (``LpError`` otherwise) and gives the reported value.  A ball
 witness is the winning support face, so it can have fewer than k+1
 points; other winners are shrunk by ``_reduce_witness`` when they are
 affinely dependent.
+
+Every rank or basis decision (a witness's affine independence, the
+section's affine hull, the cylinder's axis) comes from one SVD rank rule,
+``_row_space``.
 """
 
 from __future__ import annotations
@@ -87,12 +91,17 @@ class CoreRadiusResult:
     witness: tuple[int, ...]  # <= k+1 indices into P, see the module docstring
 
 
+def _row_space(M: np.ndarray, tol: Tolerance) -> tuple[int, np.ndarray]:
+    """(rank, Vt) of M from one full SVD: the first ``rank`` rows of Vt
+    span M's row space, the rest its null space.  Singular values above
+    1e3 tol.pivot times the largest count, so the rank is free of the
+    data's scale; an M without rows has rank 0 and Vt = I."""
+    _, sv, Vt = np.linalg.svd(M, full_matrices=True)
+    return (int(np.sum(sv > 1e3 * tol.pivot * sv[0])) if sv.size else 0), Vt
+
+
 def _affinely_independent(pts: np.ndarray, tol: Tolerance) -> bool:
-    if pts.shape[0] <= 1:
-        return True
-    diffs = pts[1:] - pts[0]
-    scale = float(np.abs(diffs).max())  # relative: the test is free of the data's scale
-    return np.linalg.matrix_rank(diffs, tol=1e3 * tol.pivot * scale) == pts.shape[0] - 1
+    return _row_space(pts[1:] - pts[0], tol)[0] == len(pts) - 1
 
 
 def _reduce_witness(P: PointSet, C: Container, subset, value: float, tol: Tolerance):
@@ -283,23 +292,6 @@ def minkowski_asymmetry(C: Container, tol: Tolerance = DEFAULT_TOL) -> float:
 # -- witness checks for the section / cylinder identities ---------------------
 
 
-def _orthonormal_rows(vectors: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Gram-Schmidt with column pivoting; rows whose remainder is at most
-    tol.pivot times the longest input row are dropped."""
-    vs = [v.astype(float) for v in np.atleast_2d(vectors)]
-    floor = tol.pivot * max(float(np.linalg.norm(v)) for v in vs)
-    basis: list[np.ndarray] = []
-    while vs:
-        norms = [float(np.linalg.norm(v)) for v in vs]
-        j = int(np.argmax(norms))
-        if norms[j] <= floor:
-            break
-        b = vs.pop(j) / norms[j]
-        basis.append(b)
-        vs = [v - (v @ b) * b for v in vs]
-    return np.array(basis) if basis else np.zeros((0, vectors.shape[1]))
-
-
 def intersection_radius_check(
     P: PointSet,
     C: Container,
@@ -309,20 +301,20 @@ def intersection_radius_check(
 ) -> float:
     """R(P ∩ E, C) for E the witness subset's affine hull.
 
-    A point lies on E when its distance from E is at most tol.feas times
-    the witness's spread (its largest distance from its first point), so
-    the test is free of the data's scale.  Equals the k-th core radius;
+    E's directions are the row space of the witness's differences from
+    its first point (``_row_space``), so the distance from E is the norm
+    of the component in their null space.  A point lies on E when that
+    distance is at most tol.feas times the witness's spread (its largest
+    distance from its first point), so the test is free of the data's
+    scale.  Equals the k-th core radius;
     callers assert the agreement.
     """
     if core is None:
         core = core_radius(P, C, k, tol)
     W = P.points[list(core.witness)]
-    base = W[0]
-    B = _orthonormal_rows(W[1:] - base, tol) if len(W) > 1 else np.zeros((0, P.dim))
-    diffs = P.points - base
-    proj = diffs @ B.T @ B if len(B) else np.zeros_like(diffs)
-    dist = np.linalg.norm(diffs - proj, axis=1)
-    spread = float(np.max(np.linalg.norm(W - base, axis=1)))
+    rank, Vt = _row_space(W[1:] - W[0], tol)
+    dist = np.linalg.norm((P.points - W[0]) @ Vt[rank:].T, axis=1)
+    spread = float(np.max(np.linalg.norm(W - W[0], axis=1)))
     idx = np.nonzero(dist <= tol.feas * spread)[0]
     return min_containment(P.subset(idx), C, tol).rho
 
@@ -363,9 +355,9 @@ def cylinder_radius_check(
 
 def _complement_basis(normals: np.ndarray, d: int, k: int, tol: Tolerance) -> np.ndarray:
     """Rows spanning the complement of a (d-k)-dimensional axis inside the
-    normals' null space; ``LpError`` when the normals leave no room."""
-    _, sv, Vt = np.linalg.svd(normals, full_matrices=True)
-    rank = int(np.sum(sv > 1e3 * tol.pivot * sv[0])) if sv.size else 0
+    normals' null space, both read from ``_row_space`` of the normals;
+    ``LpError`` when the normals leave no room."""
+    rank, Vt = _row_space(normals, tol)
     if d - rank < d - k:
         raise LpError("certificate normals span too much: no room for the cylinder axis")
     # axis F = first d-k null-space directions; keep row space + leftovers,

@@ -248,16 +248,19 @@ def test_criterion_7_counterexample_reproductions():
         assert validate_coreset(P, box, pair, 0.0, require_center_conform=True)
 
         # the vertex left out of a d-subset stays far from the covering body
-        from homothetics import DEFAULT_TOL
-        from homothetics.experiments import _simplex_distance
         from homothetics.instances import simplex_vertices
+        from homothetics.lp import in_convex_hull
 
         for d in range(3, 7):
             X = simplex_vertices(d)
             neg = reflect(regular_simplex(d)[1])
             sol = min_containment(PointSet(X[:d]), neg)
             body = sol.center + sol.rho * (-X)
-            _, lower = _simplex_distance(X[d], body, DEFAULT_TOL)
+            hull = in_convex_hull(body, X[d])
+            assert not hull.contains
+            y = hull.separator
+            assert np.all(body @ y <= X[d] @ y - 1 + 1e-9)
+            lower = 1.0 / np.linalg.norm(y)
             assert lower > 1 / np.sqrt(2) + 1e-6
 
         # Euclidean conformity factor covers on the ball corpus

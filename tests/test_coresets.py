@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from homothetics import DEFAULT_TOL, Container, DimensionMismatch, PointSet, coresets, reflect
-from homothetics.containment import min_containment
+from homothetics.containment import all_gauges, min_containment
 from homothetics.lp import LpError
 from homothetics.radii import core_radii, core_radius
 from homothetics.coresets import (
@@ -122,6 +122,40 @@ class TestZeroCoreset:
             full = min_containment(P, C).rho
             assert len(z.indices) <= d + 1
             assert z.radius == pytest.approx(full, abs=1e-6)
+
+    @pytest.mark.parametrize("case", [0.0, 0.5, 1.0, "box", "cross", "negT", "ball"])
+    def test_full_solve_center_covers_with_one_solve(self, case, monkeypatch):
+        # the full solve's center is a center of the support: no second
+        # solve and no center search; a number is the box-ambiguity tau
+        d = 3
+        if isinstance(case, float):
+            P = box_ambiguity_instance(d, case)
+            C = standard_container("box", d)
+        else:
+            P = random_pointset(14, d, seed=310)
+            C = {
+                "box": standard_container("box", d),
+                "cross": standard_container("cross", d),
+                "negT": reflect(regular_simplex(d)[1]),
+                "ball": Container.ball(d),
+            }[case]
+        solves, searches = [], []
+
+        def counting_solve(*args, **kwargs):
+            solves.append(1)
+            return min_containment(*args, **kwargs)
+
+        def counting_search(*args, **kwargs):
+            searches.append(1)
+            return _find_covering_center(*args, **kwargs)
+
+        monkeypatch.setattr(coresets, "min_containment", counting_solve)
+        monkeypatch.setattr(coresets, "_find_covering_center", counting_search)
+        z = extract_zero_coreset(P, C)
+        assert (len(solves), len(searches)) == (1, 0)
+        assert z.center_conform and z.eps_achieved == 0.0
+        worst = float(np.max(all_gauges(P, C, z.center, DEFAULT_TOL)))
+        assert worst <= z.radius * (1.0 + 1e-9)
 
 
 class TestOptimalSize:

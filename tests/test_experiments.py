@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from homothetics.experiments import (
@@ -54,6 +55,28 @@ def test_default_catalog():
     assert hashlib.sha256(columns.encode()).hexdigest() == (
         "d67b41b0e6c7197e24bd4ed391629fab68df7d06ce607f6e0482ec70df0b518d"
     )
+
+
+def test_panigrahy_bound_meets_a_least_squares_oracle():
+    # the hull test's bound 1/|y| never exceeds the distance from the last
+    # vertex to the body, and is within 1e-9 of it: a point of the body
+    # from nonnegative least squares gives the distance from above
+    from scipy.optimize import nnls
+
+    from homothetics import PointSet, reflect
+    from homothetics.containment import min_containment
+    from homothetics.instances import regular_simplex, simplex_vertices
+
+    rows = run_experiment("panigrahy").rows
+    for d, row in zip(range(3, 7), rows, strict=True):
+        X = simplex_vertices(d)
+        sol = min_containment(PointSet(X[:d]), reflect(regular_simplex(d)[1]))
+        W = sol.center + sol.rho * (-X) - X[d]
+        weight = 1e6  # a heavy row asks the weights to sum to one
+        lam, _ = nnls(np.vstack([W.T, np.full(len(W), weight)]), np.append(np.zeros(d), weight))
+        upper = float(np.linalg.norm(lam / lam.sum() @ W))
+        assert row.computed <= upper
+        assert upper - row.computed <= 1e-9
 
 
 def test_unknown_experiment():

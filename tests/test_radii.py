@@ -282,6 +282,28 @@ class TestWitnessReduction:
         assert own == pytest.approx(res.value, rel=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+class TestRowSpaceScales:
+    """The one SVD rank rule is relative, so rank and section tests hold
+    far from unit size and far from the origin."""
+
+    def test_affine_independence(self, scale):
+        shift = 1e3 * scale
+        coplanar = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+        assert not radii._affinely_independent(coplanar * scale + shift, DEFAULT_TOL)
+        assert radii._affinely_independent(simplex_vertices(3) * scale + shift, DEFAULT_TOL)
+
+    def test_intersection_check_on_the_simplex(self, scale):
+        P, T = regular_simplex(3)
+        P = P.scale(scale).translate(np.full(3, 1e3 * scale))
+        C = reflect(T)
+        for k in (1, 2, 3):
+            core = core_radius(P, C, k)
+            assert intersection_radius_check(P, C, k, core=core) == pytest.approx(
+                core.value, rel=1e-9
+            )
+
+
 class TestCylinderCheck:
     @pytest.mark.parametrize("k", [1, 2])
     def test_small_scale_projects_through_the_certificate(self, k, monkeypatch):
