@@ -20,8 +20,11 @@ representation, and each representation has one:
   normal per point.  Only the vertex-only containers beyond the
   enumeration bound take it.
 
-Both programs are solved relative to the first point at unit spread
-and scaled back, so their answers scale and translate with the data.
+Both programs are built on the data as given, relative to the first
+point, and ``lp.solve_lp`` scales their rows, so their answers scale and
+translate with the data.  Every slack on gauges is relative to rho and
+never below the round-off of a gauge about the center, counted in gauge
+units (``_roundoff``).
 The Euclidean ball is solved by the exact support-set solver.
 ``make_certificate`` turns a solution into touching points, supporting
 normals and convex weights whose weighted normal sum vanishes; on a
@@ -115,27 +118,29 @@ def all_gauges(P: PointSet, C: Container, center, tol: Tolerance) -> np.ndarray:
     return _gauges(C, P.points - np.asarray(center, dtype=float), tol)
 
 
-# round-off of a gauge about a center, relative to its largest coordinate
+# round-off of a coordinate, relative to the largest coordinate of a center
 _ULPS = 64 * np.finfo(float).eps
 
 
-def _roundoff(center) -> float:
-    """Round-off of a gauge about this center; a radius at or below it is
-    zero (the single-point case)."""
-    return _ULPS * max(map(abs, np.ravel(center).tolist()))
+def _roundoff(center, C: Container) -> float:
+    """Round-off of a gauge about this center, in gauge units: the
+    round-off of the center's coordinates times C's largest gauge of a
+    unit vector ±e_i (``Container._axis_gauge``).  A radius at or below
+    it is zero (the single-point case)."""
+    return _ULPS * max(map(abs, np.ravel(center).tolist())) * C._axis_gauge
 
 
-def _slack(rho: float, center, tol: Tolerance) -> float:
+def _slack(rho: float, center, C: Container, tol: Tolerance) -> float:
     """Slack on gauges: tol.feas relative to rho, so that it scales with
-    the data, and never below the round-off of the center's coordinates."""
-    return max(tol.feas * rho, _roundoff(center))
+    the data, and never below the round-off of a gauge about the center."""
+    return max(tol.feas * rho, _roundoff(center, C))
 
 
-def _at_precision(tol: Tolerance, rho: float, center) -> Tolerance:
+def _at_precision(tol: Tolerance, rho: float, center, C: Container) -> Tolerance:
     """tol for testing the supporting normals at (rho, center): a unit
-    normal (p - c)/rho carries the center's round-off relative to rho, so
+    normal (p - c)/rho carries the gauge round-off relative to rho, so
     feas (and eq) rise to that level when it exceeds them."""
-    noise = _roundoff(center) / rho
+    noise = _roundoff(center, C) / rho
     if noise <= tol.feas:
         return tol
     return replace(tol, feas=noise, eq=max(tol.eq, noise))
@@ -166,8 +171,8 @@ def min_containment(P: PointSet, C: Container, tol: Tolerance = DEFAULT_TOL) -> 
         t, center, duals, active_normals = _polytope_program(P.points, np.zeros(len(P)), C, tol)
         rho = max(0.0, t)
     gauges = all_gauges(P, C, center, tol)
-    _verify_cover(gauges, rho, center, tol)
-    active = np.flatnonzero(gauges >= rho - _slack(rho, center, tol)).tolist()
+    _verify_cover(gauges, rho, center, C, tol)
+    active = np.flatnonzero(gauges >= rho - _slack(rho, center, C, tol)).tolist()
     return Solution(rho, center, tuple(active), active_normals, duals)
 
 
@@ -198,52 +203,47 @@ def _polytope_program(points: np.ndarray, offsets: np.ndarray, C: Container, tol
     return t, center, lam, ()
 
 
-def _verify_cover(gauges: np.ndarray, rho: float, center, tol: Tolerance) -> None:
+def _verify_cover(gauges: np.ndarray, rho: float, center, C: Container, tol: Tolerance) -> None:
     """Raise ``LpError`` unless P lies in center + rho*C, up to ten times
     the gauge slack of ``_slack``, judged from the gauges of P about the
     center."""
     worst = float(np.max(gauges))
-    if worst > rho + 10 * _slack(rho, center, tol):
+    if worst > rho + 10 * _slack(rho, center, C, tol):
         raise LpError(f"solution does not cover: gauge {worst} > rho {rho}")
 
 
 def _facet_program(A: np.ndarray, h: np.ndarray, tol: Tolerance, start=None):
     """max lam.h  s.t.  sum_k lam_k a_k = 0,  sum lam = 1,  lam >= 0:
-    d+1 rows and one column per facet k.  ``start`` is the container's
-    start basis of these rows (``Container.facet_start``), with which
-    phase 2 begins at once.
+    d+1 rows and one column per facet k, with costs -h as given.
+    ``start`` is the container's start basis of these rows
+    (``Container.facet_start``), with which phase 2 begins at once.
 
     Its LP dual is min t s.t. a_k.c + t >= h_k: the optimal value is the
-    least t, and the row duals give its center c.  Returns (t, c, lam)
-    with lam the basic facet weights, at most d+1 of them positive.  The
-    costs are (max(h) - h_k) / spread(h), so the LP sees unit data at
-    every scale; t and c are scaled back.
+    least t, and the row duals (-c, -t) give its center c.  Returns
+    (t, c, lam) with lam the basic facet weights, at most d+1 of them
+    positive.
     """
     d = A.shape[1]
-    top = float(h.max())
-    spread = top - float(h.min()) or 1.0
-    res = solve_lp(LinearProgram.new((top - h) / spread, *_facet_rows(A)), tol, start)
+    res = solve_lp(LinearProgram.new(-h, *_facet_rows(A)), tol, start)
     if res.status is not LpStatus.OPTIMAL:
         raise LpError(f"containment LP ended {res.status}")
-    # the unit LP's dual: min s s.t. a_k.c + s >= (h_k - top) / spread,
-    # with row duals (-c, -s)
-    return top - spread * res.value, -spread * res.dual[:d], res.primal
+    return -res.value, -res.dual[:d], res.primal
 
 
 def _vertex_program(points: np.ndarray, V: np.ndarray, offsets: np.ndarray, tol: Tolerance):
     """min t  s.t.  sum_j mu_ij v_j + c = p_i,  sum_j mu_ij - t = offsets_i,
     mu >= 0, t >= 0: p_i lies in c + (offsets_i + t) * conv(V).
 
-    Solved on (p_i - p_0) / s with offsets / s, s = max |p_i - p_0|, so
-    the LP sees unit data at every scale; t and c are mapped back, and
-    the duals do not change.  Returns (t, c, lam, Y): per-point weights
-    lam_i and dual vectors Y_i; where lam_i > 0, Y_i / lam_i is a
-    supporting normal (unit offset) of the dilated container at p_i.
+    Solved on p_i - p_0, so that the center is found relative to the
+    first point, with c in units of the largest |vertex coordinate|, so
+    that c, t and mu are all gauge-sized; ``solve_lp`` scales the rows.
+    Returns (t, c, lam, Y): per-point weights lam_i and dual vectors Y_i;
+    where lam_i > 0, Y_i / lam_i is a supporting normal (unit offset) of
+    the dilated container at p_i.
     """
     n, d = points.shape
     m = V.shape[0]
     origin = points[0]
-    spread = float(np.max(np.abs(points - origin))) or 1.0
     # variables (c_1+, c_1-, ..., c_d+, c_d-, t, mu_11..mu_nm), c = c+ - c-;
     # d + 1 rows per point
     k = 2 * d
@@ -251,23 +251,24 @@ def _vertex_program(points: np.ndarray, V: np.ndarray, offsets: np.ndarray, tol:
     rows = n * (d + 1)
     lhs = np.zeros((rows, nvar))
     rhs = np.zeros(rows)
-    split = np.kron(np.eye(d), [1.0, -1.0])
+    unit = float(np.abs(V).max())
+    split = np.kron(np.eye(d), [unit, -unit])
     for i in range(n):
         r0 = i * (d + 1)
         lhs[r0 : r0 + d, :k] = split
         lhs[r0 : r0 + d, k + 1 + i * m : k + 1 + (i + 1) * m] = V.T
-        rhs[r0 : r0 + d] = (points[i] - origin) / spread
+        rhs[r0 : r0 + d] = points[i] - origin
         lhs[r0 + d, k + 1 + i * m : k + 1 + (i + 1) * m] = 1.0
         lhs[r0 + d, k] = -1.0
-        rhs[r0 + d] = offsets[i] / spread
+        rhs[r0 + d] = offsets[i]
     obj = np.zeros(nvar)
     obj[k] = 1.0
     res = solve_lp(LinearProgram.new(obj, lhs, rhs), tol)
     if res.status is not LpStatus.OPTIMAL:
         raise LpError(f"containment LP ended {res.status}")
-    center = res.primal[0:k:2] - res.primal[1:k:2]
+    center = unit * (res.primal[0:k:2] - res.primal[1:k:2])
     duals = res.dual.reshape(n, d + 1)
-    return spread * res.value, origin + spread * center, -duals[:, d], duals[:, :d]
+    return res.value, origin + center, -duals[:, d], duals[:, :d]
 
 
 # -- certificates -------------------------------------------------------------
@@ -290,16 +291,17 @@ def make_certificate(
     them, and the certificate is checked before it is returned.
     Slacks are relative to rho (``_slack``), so the test is free of the
     data's scale; when rho is so small next to the center's coordinates
-    that their round-off exceeds tol.feas * rho, the test runs at that
-    coarser precision (``_at_precision``).
+    that the gauge round-off about the center (``_roundoff``) exceeds
+    tol.feas * rho, the test runs at that coarser precision
+    (``_at_precision``).
     """
     _check_dims(P, C)
     rho, center = float(sol.rho), np.asarray(sol.center, dtype=float)
-    if rho <= _roundoff(center):
+    if rho <= _roundoff(center, C):
         raise ValueError("certificate undefined at zero radius (single-point case)")
-    tol = _at_precision(tol, rho, center)
+    tol = _at_precision(tol, rho, center, C)
     d = P.dim
-    slack = 10 * _slack(rho, center, tol)
+    slack = 10 * _slack(rho, center, C, tol)
 
     gauges = all_gauges(P, C, center, tol)
     worst = int(np.argmax(gauges))
@@ -344,23 +346,28 @@ def _merge_per_point(idx: np.ndarray, normals: np.ndarray, w: np.ndarray):
 
 
 def _balance(normals: np.ndarray, seed: np.ndarray, tol: Tolerance):
-    """Test of 0 in conv(normals).
+    """Test of 0 in conv(normals), on the normals divided by their
+    largest entry, so that it is free of the container's scale.
 
     Least squares on [N_S^T; 1] w = e_{d+1} over the rows S where
     ``seed`` is true gives the weights of an optimal solution's own
     support directly: when w >= 0 and the residual is at most tol.feas,
     they are the result, with no LP.  Otherwise one hull test runs over
     every row; by LP duality its separator y, when it fails, has
-    a.y <= -1 for every row a.  Returns (rows, ``HullResult`` on those
-    rows).
+    a.y <= -1 for every row a (scaled back to the given normals).
+    Returns (rows, ``HullResult`` on those rows).
     """
+    top = float(np.abs(normals).max())
+    N = normals / top
     work = np.flatnonzero(seed)
     if work.size:
-        M, e = _facet_rows(normals[work])
+        M, e = _facet_rows(N[work])
         w = np.linalg.lstsq(M, e, rcond=None)[0]
         if w.min() >= 0.0 and np.abs(M @ w - e).max() <= tol.feas:
             return work, HullResult(True, w, None)
-    return np.arange(len(normals)), in_convex_hull(normals, np.zeros(normals.shape[1]), tol)
+    hull = in_convex_hull(N, np.zeros(N.shape[1]), tol)
+    y = None if hull.contains else hull.separator / top
+    return np.arange(len(N)), hull._replace(separator=y)
 
 
 def _supporting_pairs(P, C, sol, touching, slack, tol):
@@ -404,7 +411,7 @@ def _supporting_pairs(P, C, sol, touching, slack, tol):
 
 def _verify_certificate(cert: Certificate, C: Container, rho, center, tol: Tolerance) -> None:
     resid = float(np.max(np.abs(cert.lam @ cert.normals)))
-    if resid > 10 * tol.feas:
+    if resid > 10 * tol.feas * float(np.abs(cert.normals).max()):
         raise LpError(f"certificate normals do not balance: residual {resid:.3e}")
     if abs(cert.lam.sum() - 1.0) > tol.feas or np.any(cert.lam < -tol.feas):
         raise LpError("certificate weights are not convex coefficients")
@@ -425,7 +432,7 @@ def support_points(
     A certificate failure propagates (``NotOptimalError``, ``LpError``),
     and so does a re-solve that misses the radius (``LpError``).
     """
-    if sol.rho <= _roundoff(sol.center):
+    if sol.rho <= _roundoff(sol.center, C):
         return (0,)
     S = make_certificate(P, C, sol, tol).point_indices
     if len(S) > P.dim + 1 or min_containment(P.subset(S), C, tol).rho < sol.rho * (1.0 - tol.eq):
@@ -439,10 +446,11 @@ def halfspace_lemma_check(P: PointSet, sol: Solution, tol: Tolerance = DEFAULT_T
     and c + rho*B covers P.  Equivalent to: every half-space with the
     center on its boundary contains a touching point.  True at zero
     radius, False where the certificate raises ``NotOptimalError``."""
-    if sol.rho <= _roundoff(sol.center):
+    ball = Container.ball(P.dim)
+    if sol.rho <= _roundoff(sol.center, ball):
         return True
     try:
-        make_certificate(P, Container.ball(P.dim), sol, tol)
+        make_certificate(P, ball, sol, tol)
     except NotOptimalError:
         return False
     return True

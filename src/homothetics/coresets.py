@@ -17,7 +17,6 @@ import numpy as np
 
 from .containment import (
     _polytope_program,
-    _roundoff,
     _slack,
     all_gauges,
     min_containment,
@@ -86,7 +85,7 @@ def greedy_coreset(
         sol = min_containment(P.subset(S), C, tol)
         gauges = all_gauges(P, C, sol.center, tol)
         worst = int(np.argmax(gauges))
-        if gauges[worst] <= (1.0 + eps) * sol.rho + _slack(sol.rho, sol.center, tol):
+        if gauges[worst] <= (1.0 + eps) * sol.rho + _slack(sol.rho, sol.center, C, tol):
             achieved = _coverage_eps(gauges, sol.rho, tol)
             return CoreSet(tuple(S), sol.rho, sol.center, achieved, True)
         if worst in S:
@@ -158,7 +157,7 @@ def validate_coreset(
     if fixed_center or C.kind is ContainerKind.BALL:
         # the Euclidean center is unique anyway
         worst = float(np.max(all_gauges(P, C, sub.center, tol)))
-        return worst <= allowed + _slack(allowed, sub.center, tol)
+        return worst <= allowed + _slack(allowed, sub.center, C, tol)
     return _find_covering_center(P, C, idx, sub.rho, eps, tol) is not None
 
 
@@ -170,11 +169,11 @@ def _find_covering_center(
 
     Both conditions become one ``_polytope_program`` over P and S, with
     offsets (1+eps) radius on P and radius on S.  Its value t is the
-    largest violation, so near-ties within tol.feas relative to (1+eps)
-    radius, or within the round-off of P's coordinates, are accepted.
+    largest violation, so near-ties within the gauge slack of
+    ``containment`` at (1+eps) radius about P's coordinates are accepted.
     """
     allowed = (1.0 + eps) * radius
-    slack = max(tol.feas * allowed, _roundoff(P.points))
+    slack = _slack(allowed, P.points, C, tol)
     # P first, so that the facet program solves about P's first point
     pts = np.vstack([P.points, P.points[idx]])
     offsets = np.concatenate([np.full(len(P), allowed), np.full(len(idx), radius)])
@@ -195,4 +194,4 @@ def center_conformity_bound_check(
     sub = min_containment(P.subset(idx), C, tol)
     allowed = (1.0 + eps + np.sqrt(2.0 * eps + eps * eps)) * sub.rho
     worst = float(np.max(all_gauges(P, C, sub.center, tol)))
-    return worst <= allowed + _slack(allowed, sub.center, tol)
+    return worst <= allowed + _slack(allowed, sub.center, C, tol)

@@ -414,10 +414,12 @@ def _exp_panigrahy(params, tol):
         S = PointSet(X[:d])
         sol = min_containment(S, neg, tol)
         body = sol.center + sol.rho * (-X)  # vertices of c_S + (d-1) * (-T^d)
-        # the hull test's separator y has y.v <= y.x - 1 on every vertex v,
-        # so 1/|y| is a certified lower bound on the distance from x
+        # the hull test's separator y has y.v < y.x on every vertex v, so
+        # the least margin min_v y.(x - v) / |y| is a certified lower bound
+        # on the distance from x
         hull = in_convex_hull(body, X[d], tol)
-        lower = 0.0 if hull.contains else 1.0 / float(np.linalg.norm(hull.separator))
+        y = hull.separator
+        lower = 0.0 if hull.contains else float(np.min((X[d] - body) @ y) / np.linalg.norm(y))
         reference = float(1 / np.sqrt(2)) + tol.eq
         rows.append(
             Row(

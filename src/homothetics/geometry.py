@@ -4,9 +4,9 @@ A container is a full-dimensional compact convex body with the origin in
 its interior.  It carries outer normals (half-space form, every offset
 normalised to one), vertices (hull form), both, or is the Euclidean unit
 ball.  All types are immutable after construction and safe to share
-between threads (a container's derived facets, facet duals and facet
-program start bases are computed once, on first use); every operation
-here is a pure function.
+between threads (a container's derived facets, facet duals, facet
+program start bases and axis gauge are computed once, on first use);
+every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -270,6 +270,13 @@ class Container:
     def _facet_starts(self) -> dict:
         return {}
 
+    @cached_property
+    def _axis_gauge(self) -> float:
+        """Largest gauge of a unit vector ±e_i: the factor from a round-off
+        in coordinates to one in gauge units.  Computed once, on first use."""
+        E = np.eye(self.dim)
+        return float(_gauges(self, np.vstack([E, -E]), DEFAULT_TOL).max())
+
     def is_symmetric(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """True when the body equals its reflection -C (checked setwise,
         relative to the largest coordinate, so free of the data's scale)."""
@@ -298,10 +305,22 @@ def _same_point_set(a: np.ndarray, b: np.ndarray, radius: float) -> bool:
     return True
 
 
+def _row_space(M: np.ndarray, tol: Tolerance) -> tuple[int, np.ndarray]:
+    """(rank, Vt) of M from one SVD: the first ``rank`` rows of Vt span
+    M's row space, the rest its null space (Vt is square; U is full only
+    when M has fewer rows than columns).  Singular values above 1e3
+    tol.pivot times the largest count, so the rank is free of the data's
+    scale; an M without rows has rank 0 and Vt = I.  The library's one
+    rank rule."""
+    _, sv, Vt = np.linalg.svd(M, full_matrices=len(M) < M.shape[1])
+    return (int(np.sum(sv > 1e3 * tol.pivot * sv[0])) if sv.size else 0), Vt
+
+
 def _positively_spans(generators: np.ndarray, tol: Tolerance) -> bool:
     """True iff 0 is in the relative interior of conv(generators) and the
     generators affinely span the full space (equivalently: every direction
-    has a generator with positive dot product).
+    has a generator with positive dot product).  Rank d comes first, by
+    ``_row_space``.
 
     The largest min_i lam_i over lam >= 0 with sum(lam_i g_i) = 0 and
     sum(lam) = 1 is 1/(m + V), with V the gauge of -sum(g_i) in conv(g)
@@ -312,7 +331,7 @@ def _positively_spans(generators: np.ndarray, tol: Tolerance) -> bool:
     """
     g = np.asarray(generators, dtype=float)
     m, d = g.shape
-    if np.linalg.matrix_rank(g, tol=1e-10 * max(1.0, float(np.abs(g).max()))) < d:
+    if _row_space(g, tol)[0] < d:
         return False
     return _gauge_vpoly(g, -g.sum(axis=0), tol)[0] < 1.0 / tol.pivot - m
 
@@ -376,16 +395,14 @@ def _gauge_vpoly(vertices: np.ndarray, x: np.ndarray, tol: Tolerance):
     column per vertex.  Its LP dual is the polar program max a.x s.t.
     a.v_j <= 1, so the normal is the row duals.  The program is
     infeasible when x lies outside the cone of the vertices, where the
-    gauge is inf and there is no normal.  It runs on x / max|x_i|, so it
-    sees unit right-hand sides at every scale, and the gauge is scaled
-    back."""
+    gauge is inf and there is no normal.  The data go in as they are:
+    ``solve_lp`` scales the rows, so the gauge is free of their scale."""
     from .lp import LinearProgram, LpStatus, solve_lp
 
-    scale = float(np.max(np.abs(x))) or 1.0
-    res = solve_lp(LinearProgram.new(np.ones(len(vertices)), vertices.T, x / scale), tol)
+    res = solve_lp(LinearProgram.new(np.ones(len(vertices)), vertices.T, x), tol)
     if res.status is LpStatus.INFEASIBLE:
         return np.inf, None
-    return res.value * scale, res.dual
+    return res.value, res.dual
 
 
 def support(container: Container, direction) -> float:

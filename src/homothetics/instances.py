@@ -240,13 +240,14 @@ def _facet_duals(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | No
     span; None beyond ``ENUM_BOUND`` or sqrt(ENUM_BOUND) rows.  They are
     N z / sum(N z) over the rays z of {z : -N z <= 0}, N a null-space basis
     of A^T, each solved as [A_S, 1]^T lam_S = e_{d+1} over its key S
-    (holding its support), clipped at zero."""
+    (holding its support), clipped at zero.  The keys are chosen on
+    [A / max|A|, 1], so that both columns weigh alike at any scale of A."""
     m, d = A.shape
     zero = None if m * m > ENUM_BOUND else _extreme_rays(-np.linalg.svd(A.T)[2][d:].T, tol)
     if zero is None:
         return None
     rows = np.hstack([A, np.ones((m, 1))])
-    keys = _keys(rows, ~zero, np.ones_like(zero))
+    keys = _keys(np.hstack([A / np.abs(A).max(), np.ones((m, 1))]), ~zero, np.ones_like(zero))
     rhs = np.broadcast_to(np.eye(d + 1)[d][:, None], (len(keys), d + 1, 1))
     lam = np.linalg.solve(rows[keys].transpose(0, 2, 1), rhs)[..., 0]
     L = np.zeros((len(keys), m))

@@ -4,10 +4,14 @@ Every program is a column program in standard form,
 min c.x  s.t.  A x = b,  x >= 0.  The pivot rule is Dantzig's (most
 negative reduced cost, smallest column index on ties) with a switch to
 Bland's rule once the objective stalls, so every solve is deterministic
-and cycling-free.  Rows with a negative right-hand side are negated, and
-phase 1 starts from one artificial per row.  An artificial that stays
-basic at zero and cannot be pivoted out marks its own row as a
-combination of the others; that row is dropped and its dual is zero.
+and cycling-free.  This module alone decides the scale of a program:
+each row is divided by its largest |entry| and negated where its
+right-hand side is negative, and every tolerance is relative to the
+scaled data (right-hand sides, costs, primal and dual values), with no
+floor at one.  Callers pass their data as it is.  Phase 1 starts from
+one artificial per row.  An artificial that stays basic at zero and
+cannot be pivoted out marks its own row as a combination of the
+others; that row is dropped and its dual is zero.
 The row duals y satisfy A^T y <= c, with equality on every positive x_j.
 
 Phase 1 never reads the costs, so its basis serves every program with the
@@ -90,16 +94,20 @@ class LpResult(NamedTuple):
 
 
 def _standardize(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, b, flip): the rows with a negative right-hand side negated
-    (flip -1), so that b >= 0."""
-    flip = np.where(rhs < 0, -1.0, 1.0)
-    return lhs * flip[:, None], rhs * flip, flip
+    """(A, b, scale): each row and its right-hand side multiplied by
+    scale, one over the row's largest |entry|, negated where the
+    right-hand side is negative, so that every row of A has largest
+    |entry| one and b >= 0.  Row duals y of (A, b) are y * scale on the
+    given rows."""
+    top = np.abs(lhs).max(axis=1, initial=0.0)
+    scale = np.where(rhs < 0, -1.0, 1.0) / np.where(top > 0, top, 1.0)
+    return lhs * scale[:, None], rhs * scale, scale
 
 
 def _drop(b: np.ndarray, tol: Tolerance) -> float:
     """How far below zero a basic variable may fall: tol.pivot relative
     to the largest right-hand side."""
-    return tol.pivot * max(1.0, float(np.abs(b).max(initial=1.0)))
+    return tol.pivot * float(np.abs(b).max(initial=0.0))
 
 
 def _inverse(B: np.ndarray, where: str) -> np.ndarray:
@@ -125,7 +133,7 @@ def _simplex_iterate(
     stall = 0
     last_val = np.inf
     max_iter = 2000 + 60 * (m + n)
-    opt_tol = 10.0 * tol.pivot
+    opt_tol = 10.0 * tol.pivot * float(np.abs(c).max(initial=0.0))
     drop = _drop(b, tol)
 
     for it in range(max_iter):
@@ -188,7 +196,7 @@ def _phase1(A: np.ndarray, b: np.ndarray, tol: Tolerance):
         raise LpError("phase 1 did not terminate at an optimum")
     B_inv = _inverse(A1[:, basis], "after phase 1")
     gap = float(c1[basis] @ (B_inv @ b))
-    if gap > tol.feas * max(1.0, float(np.abs(b).max(initial=1.0))):
+    if gap > tol.feas * float(np.abs(b).max(initial=0.0)):
         return A, b, basis, np.ones(m, dtype=bool), y1, pivots
 
     keep = np.ones(m, dtype=bool)
@@ -249,19 +257,23 @@ def solve_lp(lp: LinearProgram, tol: Tolerance = DEFAULT_TOL, start=None) -> LpR
     """Solve, returning status, optimal value, primal point, row duals
     and the pivots of each phase.
 
+    The simplex runs on the rows of ``_standardize``, each divided by its
+    largest |entry|, so every tolerance is relative to the data: a
+    program and its rows times any positive factors solve alike.
     ``start`` is a ``start_basis`` of the program's rows.  When it is
     feasible for the program's right-hand side, phase 2 starts from it
     and phase 1 takes no pivots; otherwise phase 1 runs as in a cold
     solve.  A start of another number of rows raises ``ValueError``.
     INFEASIBLE carries the phase-1 row duals.  OPTIMAL results pass the
-    KKT check of ``_verify_optimal`` before being returned.
+    KKT check of ``_verify_optimal`` on the scaled rows before being
+    returned.
     """
-    A, b, flip = _standardize(lp.lhs, lp.rhs)
-    warm = None if start is None else _warm(A, b, start, tol)
+    A0, b0, scale = _standardize(lp.lhs, lp.rhs)
+    warm = None if start is None else _warm(A0, b0, start, tol)
     if warm is None:
-        A, b, basis, keep, farkas, phase1 = _phase1(A, b, tol)
+        A, b, basis, keep, farkas, phase1 = _phase1(A0, b0, tol)
         if farkas is not None:
-            return LpResult(LpStatus.INFEASIBLE, np.inf, None, farkas * flip, (phase1, 0))
+            return LpResult(LpStatus.INFEASIBLE, np.inf, None, farkas * scale, (phase1, 0))
         B_inv = _inverse(A[:, basis], "before phase 2")
     else:
         A, b, basis, keep, B_inv = warm
@@ -274,32 +286,33 @@ def solve_lp(lp: LinearProgram, tol: Tolerance = DEFAULT_TOL, start=None) -> LpR
 
     x = np.zeros(A.shape[1])
     x[basis] = _inverse(A[:, basis], "at the optimum") @ b
-    dual = np.zeros(len(flip))
-    dual[keep] = y * flip[keep]
-    _verify_optimal(lp, x, dual, tol)
+    dual = np.zeros(len(scale))
+    dual[keep] = y
+    _verify_optimal(LinearProgram(lp.objective, A0, b0), x, dual, tol)
     x = np.clip(x, 0.0, None)
-    return LpResult(LpStatus.OPTIMAL, float(lp.objective @ x), x, dual, pivots)
+    return LpResult(LpStatus.OPTIMAL, float(lp.objective @ x), x, dual * scale, pivots)
 
 
 def _verify_optimal(lp: LinearProgram, x: np.ndarray, y: np.ndarray, tol: Tolerance) -> None:
-    """KKT check of a primal x and row duals y.  Primal: A x = b within
-    1e3 tol.feas of max(1, |b|, |x|), and x >= -tol.feas max(1, |b|).
+    """KKT check of a primal x and row duals y on the scaled program of
+    ``_standardize``, every test relative to the data.  Primal: A x = b
+    within 1e3 tol.feas of max(|b|, |x|), and x >= -tol.feas max|b|.
     Dual: reduced costs c - A^T y >= 0 within 1e3 tol.feas of
-    max(1, |c|, |y|), and within that of zero wherever x_j > tol.eq."""
-    rhs_scale = max(1.0, float(np.abs(lp.rhs).max(initial=1.0)))
-    primal_tol = 1e3 * tol.feas * max(rhs_scale, float(np.abs(x).max(initial=1.0)))
+    max(|c|, |y|), and within that of zero wherever x_j exceeds tol.eq
+    of max(|b|, |x|)."""
+    x_scale = max(float(np.abs(lp.rhs).max(initial=0.0)), float(np.abs(x).max(initial=0.0)))
     resid = float(np.abs(lp.lhs @ x - lp.rhs).max(initial=0.0))
-    if resid > primal_tol:
+    if resid > 1e3 * tol.feas * x_scale:
         raise LpError(f"equality rows violated by {resid:.3e}")
-    if float(x.min(initial=0.0)) < -tol.feas * rhs_scale:
+    if float(x.min(initial=0.0)) < -tol.feas * float(np.abs(lp.rhs).max(initial=0.0)):
         raise LpError("negative basic variable at optimum")
     dual_tol = 1e3 * tol.feas * max(
-        1.0, float(np.abs(lp.objective).max(initial=1.0)), float(np.abs(y).max(initial=1.0))
+        float(np.abs(lp.objective).max(initial=0.0)), float(np.abs(y).max(initial=0.0))
     )
     reduced = lp.objective - y @ lp.lhs
     if float(reduced.min(initial=0.0)) < -dual_tol:
         raise LpError(f"reduced cost {reduced.min():.3e} at optimum")
-    if np.any((x > tol.eq) & (reduced > dual_tol)):
+    if np.any((x > tol.eq * x_scale) & (reduced > dual_tol)):
         raise LpError("complementary slackness broken")
 
 
@@ -317,7 +330,8 @@ def in_convex_hull(generators, target, tol: Tolerance = DEFAULT_TOL) -> HullResu
 
     On success the coefficients lam are >= 0, sum to one, have at most
     d+1 nonzeros (a basic solution) and satisfy
-    ``max |sum lam_i g_i - target| <= tol.feas``.  On failure the returned
+    ``max |sum lam_i g_i - target| <= tol.feas * max(|G|, |target|)``,
+    relative to the largest coordinate.  On failure the returned
     direction y strictly separates:  y.g_i <= y.target - 1 for every i.
     """
     G = np.atleast_2d(np.asarray(generators, dtype=float))
@@ -338,8 +352,7 @@ def in_convex_hull(generators, target, tol: Tolerance = DEFAULT_TOL) -> HullResu
     res = solve_lp(LinearProgram.new(obj, lhs, np.concatenate([t, [1.0]])), tol)
     if res.status is not LpStatus.OPTIMAL:
         raise LpError(f"hull membership LP ended {res.status}")
-    scale = max(1.0, float(np.abs(G).max(initial=1.0)), float(np.abs(t).max(initial=1.0)))
-    if res.value <= tol.feas * scale:
+    if res.value <= tol.feas * max(float(np.abs(G).max()), float(np.abs(t).max(initial=0.0))):
         lam = np.clip(res.primal[:m], 0.0, None)
         total = lam.sum()
         if total <= 0:

@@ -35,7 +35,8 @@ __all__ = ["Ball", "minimum_enclosing_ball", "circumball"]
 # |p - c| <= (1 + _REL) * r, and a walk step shorter than _REL * r reaches
 # its target without a stopper search
 _REL = 1e-12
-# affine weights down to -_WEIGHT_SLACK count as zero (weights sum to one)
+# affine weights down to -_WEIGHT_SLACK count as zero (weights sum to
+# one); the library's one circumcenter weight slack, also read by ``radii``
 _WEIGHT_SLACK = 1e-10
 
 

@@ -29,8 +29,8 @@ points; other winners are shrunk by ``_reduce_witness`` when they are
 affinely dependent.
 
 Every rank or basis decision (a witness's affine independence, the
-section's affine hull, the cylinder's axis) comes from one SVD rank rule,
-``_row_space``.
+section's affine hull, the cylinder's axis) comes from the library's one
+SVD rank rule, ``geometry._row_space``.
 """
 
 from __future__ import annotations
@@ -56,8 +56,10 @@ from .geometry import (
     InvalidContainer,
     PointSet,
     Tolerance,
+    _row_space,
 )
 from .lp import LpError
+from .meb import _WEIGHT_SLACK
 
 __all__ = [
     "CoreRadiusResult",
@@ -74,9 +76,8 @@ DEFAULT_BUDGET = 2_000_000
 _TIE = 1e-12
 # a face is singular when det(Gram) is below _SINGULAR times the product
 # of the Gram diagonal, a ratio free of the data's scale; its affine
-# weights count as nonnegative down to -_WEIGHT_SLACK
+# weights count as nonnegative down to -meb._WEIGHT_SLACK
 _SINGULAR = 1e-10
-_WEIGHT_SLACK = 1e-12
 _CHUNK = 2048  # subsets per chunk of a value stream
 
 
@@ -89,15 +90,6 @@ class CoreRadiusResult:
     k: int
     value: float
     witness: tuple[int, ...]  # <= k+1 indices into P, see the module docstring
-
-
-def _row_space(M: np.ndarray, tol: Tolerance) -> tuple[int, np.ndarray]:
-    """(rank, Vt) of M from one full SVD: the first ``rank`` rows of Vt
-    span M's row space, the rest its null space.  Singular values above
-    1e3 tol.pivot times the largest count, so the rank is free of the
-    data's scale; an M without rows has rank 0 and Vt = I."""
-    _, sv, Vt = np.linalg.svd(M, full_matrices=True)
-    return (int(np.sum(sv > 1e3 * tol.pivot * sv[0])) if sv.size else 0), Vt
 
 
 def _affinely_independent(pts: np.ndarray, tol: Tolerance) -> bool:
@@ -187,7 +179,7 @@ def _proved(P: PointSet, C: Container, k: int, best, tol: Tolerance) -> CoreRadi
         return CoreRadiusResult(k, 0.0, (0,))
     sub, value = best
     sol = min_containment(P.subset(list(sub)), C, tol)
-    if abs(sol.rho - value) > max(tol.eq * sol.rho, _roundoff(sol.center)):
+    if abs(sol.rho - value) > max(tol.eq * sol.rho, _roundoff(sol.center, C)):
         raise LpError(f"core radius of {sub}: closed form {value} vs solver {sol.rho}")
     if C.kind is not ContainerKind.BALL:
         sub = _reduce_witness(P, C, sub, sol.rho, tol)
@@ -345,7 +337,7 @@ def cylinder_radius_check(
 
     S = P.subset(list(core.witness))
     sol = min_containment(S, C, tol)
-    if sol.rho <= _roundoff(sol.center):  # all points coincide
+    if sol.rho <= _roundoff(sol.center, C):  # all points coincide
         return sol.rho
     cert = make_certificate(S, C, sol, tol)
     # the certificate carries one normal per witness point, so at most k+1

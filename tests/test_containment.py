@@ -40,6 +40,7 @@ from homothetics.instances import (
     symmetric_counterexample,
 )
 from homothetics.lp import LpError, in_convex_hull
+from homothetics.radii import core_radius
 
 
 def corpus_container(tag: str, d: int) -> Container:
@@ -468,9 +469,9 @@ class TestCoverCheck:
             assert C.facets is not None
         sol = min_containment(P, C)
         gauges = all_gauges(P, C, sol.center, tol)
-        _verify_cover(gauges, sol.rho, sol.center, tol)
+        _verify_cover(gauges, sol.rho, sol.center, C, tol)
         with pytest.raises(LpError):
-            _verify_cover(gauges, sol.rho - 1e-3, sol.center, tol)
+            _verify_cover(gauges, sol.rho - 1e-3, sol.center, C, tol)
 
 
 class TestFacetProgram:
@@ -508,14 +509,14 @@ class TestFacetProgram:
             assert np.all(lam[A @ c + t > h + 1e-6] <= 1e-9)
 
     def test_round_off_weight_is_not_an_active_normal(self):
-        # two vertices of the triangle in the hexagon T cap -T: the basic
-        # facet weights are 1/2, 1/2 and one at round-off
-        P = regular_simplex(2)[0].subset([0, 1])
-        C = simplex_cap_neg(2)
+        # two vertices of the simplex T^4 in T^4 cap -T^4: the basic facet
+        # weights are 1/2, 1/2 and two at round-off
+        P = regular_simplex(4)[0].subset([1, 3])
+        C = simplex_cap_neg(4)
         h = ((P.points - P.points[0]) @ C.facets.T).max(axis=0)
         lam = _facet_program(C.facets, h, DEFAULT_TOL)[2]
-        assert np.count_nonzero(lam) == 3 and np.sort(lam)[-3] < 1e-15
-        assert min_containment(P, C).active_normals == (1, 4)
+        assert np.count_nonzero(lam) == 4 and np.sort(lam)[-3] < 1e-15
+        assert min_containment(P, C).active_normals == (3, 8)
 
 
 class TestPolytopeProgram:
@@ -757,7 +758,7 @@ class TestDirectCertificates:
             for c in (sol.center, sol.center + 0.02 * sol.rho * (-1) ** seed):
                 dist = np.linalg.norm(P.points - c, axis=1)
                 rho = float(dist.max())
-                touching = dist >= rho - _slack(rho, c, DEFAULT_TOL)
+                touching = dist >= rho - _slack(rho, c, Container.ball(3), DEFAULT_TOL)
                 U = (P.points[touching] - c) / dist[touching, None]
                 full = in_convex_hull(U, np.zeros(3)).contains
                 off = Solution(rho, c, (), (), sol.duals)
@@ -942,7 +943,7 @@ class TestCertificateArrays:
             C = corpus_container(tag, d)
             sol = min_containment(P, C)
             rho, center = sol.rho, sol.center
-            slack = 10 * _slack(rho, center, DEFAULT_TOL)
+            slack = 10 * _slack(rho, center, C, DEFAULT_TOL)
             touching = np.array(sol.active_points)
             ref = []
             for i in touching.tolist():
@@ -958,3 +959,68 @@ class TestCertificateArrays:
             # the seed lies in the solution's own dual support
             assert seed_mask.any()
             assert set(idx[seed_mask].tolist()) <= set(np.flatnonzero(sol.duals > 0).tolist())
+
+
+class TestScaleRule:
+    """``solve_lp`` scales every program's rows and round-off is counted in
+    gauge units, so R(sigma P, sigma C) = R(P, C) with its certificate at
+    every scale, and candidates off the optimum are refused there too."""
+
+    @staticmethod
+    def _scaled(C: Container, form: str, s: float) -> Container:
+        if form == "H":
+            return Container.from_normals(C.normals / s)
+        if form == "V":
+            return Container.from_vertices(C.vertices * s)
+        return Container.dual_rep(C.normals / s, C.vertices * s)
+
+    @pytest.mark.parametrize("form", ["H", "V", "dual"])
+    @pytest.mark.parametrize("tag", ["box", "cross", "negT", "cap"])
+    def test_scale_sweep(self, tag, form):
+        # seeds 1-3 at scales 1e-12..1e12, container and points together:
+        # rho and R_2 as at scale 1, and a certificate
+        values = {}
+        for e in range(-12, 13, 3):
+            s = 10.0**e
+            C = self._scaled(corpus_container(tag, 3), form, s)
+            for seed in (1, 2, 3):
+                P = random_pointset(10, 3, seed=seed).scale(s)
+                sol = min_containment(P, C)
+                make_certificate(P, C, sol)
+                values[e, seed] = sol.rho, core_radius(P, C, 2).value
+        for (e, seed), got in values.items():
+            assert got == pytest.approx(values[0, seed], rel=1e-6), (e, seed)
+
+    def test_off_optimum_candidates_refused_at_every_scale(self):
+        # 150 random H-containers at scales 1, 1e11 and 1e12: the radius 5%
+        # off the optimum and the center moved by 3% of it in gauge units
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            d = 2 + seed % 3
+            G = rng.standard_normal((d + 1 + seed % 4, d))
+            # rows summing to zero, rescaled by positive factors, span positively
+            A = np.vstack([G, -G.sum(axis=0)]) * rng.uniform(0.5, 2.0, size=(len(G) + 1, 1))
+            P0, u = random_pointset(8, d, seed=seed), rng.standard_normal(d)
+            for s in (1.0, 1e11, 1e12):
+                C, P = Container.from_normals(A / s), P0.scale(s)
+                sol = min_containment(P, C)
+                shift = 0.03 * sol.rho * u / gauge(C, u)
+                for f in (0.95, 1.05):
+                    off = replace(sol, rho=f * sol.rho, center=sol.center + shift)
+                    with pytest.raises(NotOptimalError):
+                        make_certificate(P, C, off)
+
+    @pytest.mark.parametrize("tag", ["box", "cap"])
+    def test_vertex_program_sweep(self, tag):
+        # the program of vertex-only bodies beyond the enumeration bound,
+        # on vertices and points scaled together at 1e-12..1e12: the
+        # unit-scale value, and a center that covers at it
+        V = vertex_list(tag, 3)
+        P = random_pointset(8, 3, seed=4).points + 3.0
+        base = _vertex_program(P, V, np.zeros(8), DEFAULT_TOL)[0]
+        for e in range(-12, 13, 3):
+            s = 10.0**e
+            t, c, _, _ = _vertex_program(P * s, V * s, np.zeros(8), DEFAULT_TOL)
+            assert t == pytest.approx(base, rel=1e-9), e
+            C = Container.from_vertices(V * s)
+            assert all_gauges(PointSet(P * s), C, c, DEFAULT_TOL).max() <= t * (1 + 1e-9)

@@ -485,3 +485,13 @@ class TestScaleFreeChecks:
         assert C.is_symmetric() == base.is_symmetric()
         ref = core_radius(P, base, 1).value
         assert core_radius(P.scale(sigma), C, 1).value == pytest.approx(ref, rel=1e-9)
+
+    def test_vertex_box_core_radius_at_a_million(self):
+        # the vertex-form box at 1e6 enumerates its facet duals, and R_2
+        # is the unit-scale value
+        box = standard_container("box", 3).vertices
+        P = random_pointset(8, 3, seed=2)
+        ref = core_radius(P, Container.from_vertices(box), 2).value
+        assert ref == pytest.approx(0.6288, abs=1e-4)
+        got = core_radius(P.scale(1e6), Container.from_vertices(box * 1e6), 2).value
+        assert got == pytest.approx(ref, rel=1e-9)
