@@ -37,7 +37,6 @@ from .containment import (
     Certificate,
     NotOptimalError,
     Solution,
-    halfspace_lemma_check,
     make_certificate,
     min_containment,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "Certificate",
     "NotOptimalError",
     "Solution",
-    "halfspace_lemma_check",
     "make_certificate",
     "min_containment",
     "CoreSet",

@@ -29,7 +29,8 @@ The Euclidean ball is solved by the exact support-set solver.
 ``make_certificate`` turns a solution into touching points, supporting
 normals and convex weights whose weighted normal sum vanishes; on a
 suboptimal candidate it raises ``NotOptimalError`` carrying an
-improving direction.
+improving direction.  No program of it spans more than the touching
+points: a vertex-only body solves the vertex program on them alone.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .geometry import (
     PointSet,
     Tolerance,
     _facet_rows,
-    _gauge_vpoly,
     _gauges,
 )
 from .lp import HullResult, LinearProgram, LpError, LpStatus, in_convex_hull, solve_lp
@@ -58,7 +58,6 @@ __all__ = [
     "NotOptimalError",
     "min_containment",
     "make_certificate",
-    "halfspace_lemma_check",
     "all_gauges",
     "support_points",
 ]
@@ -96,8 +95,11 @@ class NotOptimalError(Exception):
     reason     "infeasible" | "slack" | "separated"
     direction  y with a.y <= -1 for every touching normal a when
                reason == "separated"; shifting the center by -eps*y then
-               strictly decreases the maximal gauge.  Zero vector when the
-               candidate has uniform slack, None when infeasible.
+               strictly decreases the maximal gauge.  It is the hull
+               test's separator or, on the vertex program, the step
+               toward the center of the touching points' own smaller
+               optimum.  Zero vector when the candidate has uniform
+               slack, None when infeasible.
     """
 
     def __init__(self, reason: str, direction=None, detail: str = ""):
@@ -280,9 +282,11 @@ def make_certificate(
     """Certify optimality of (rho, center) or raise ``NotOptimalError``.
 
     Touching points and their supporting normals are collected per
-    container kind (active half-spaces; unit point directions for the
-    ball; vertex-formulation duals).  Convex weights placing the origin in
-    the normals' hull are then found by ``_balance``: first the normals
+    container kind by ``_supporting_pairs`` (active half-spaces; unit
+    point directions for the ball; the duals of the vertex program on
+    the touching points alone, which raises "separated" when they fit a
+    smaller dilate).  Convex weights placing the origin in the normals'
+    hull are then found by ``_balance``: first the normals
     of the solution's own dual support alone (active facets at points of
     positive weight; the ball's support), whose weights least squares
     gives with no LP; where those do not balance, one hull test over
@@ -376,7 +380,17 @@ def _supporting_pairs(P, C, sol, touching, slack, tol):
     solution's dual support (positive point weight, and an active facet
     where the solution names them).  A facet supports a touching point
     when its gauge there is within ``slack`` of rho, the slack that found
-    the touching points."""
+    the touching points.
+
+    A vertex-only body solves the vertex program on the touching points
+    alone, (t, c, lam, Y) in |touching| (d+1) rows.  When t < rho - slack
+    they fit a smaller dilate: every supporting normal a at a touching
+    point p has a.(p - center) >= rho - slack and a.(p - c) <= t, so
+    y = (center - c) / (rho - slack - t) has a.y <= -1, raised as
+    "separated".  Otherwise the candidate is optimal for the touching
+    points, and by complementary slackness each Y_i / lam_i supports its
+    center at p_i; the pairs with lam_i above tol.eq of the largest are
+    the seed."""
     rho, center = sol.rho, sol.center
     if C.kind is ContainerKind.BALL:
         U = P.points[touching] - center
@@ -392,21 +406,14 @@ def _supporting_pairs(P, C, sol, touching, slack, tol):
             active[list(sol.active_normals)] = True
             seed &= active[ks]
         return idx, A[ks], seed
-    # vertex-only container beyond the enumeration bound: recover coherent
-    # normals from the LP duals of a fresh solve, provided the candidate is
-    # that optimum
-    opt_rho, _, lam, Y = _vertex_program(P.points, C.vertices, np.zeros(len(P)), tol)
-    if rho <= opt_rho * (1.0 + tol.eq):
-        idx = touching[lam[touching] > 1e-9]
-        if idx.size:
-            return idx, Y[idx] / lam[idx, None], np.ones(idx.size, dtype=bool)
-    # suboptimal candidate, or dual support disjoint from its touch set:
-    # one polar-support normal per touching point still gives the
-    # separation step its generators
-    normals = np.array(
-        [_gauge_vpoly(C.vertices, (P.points[i] - center) / rho, tol)[1] for i in touching]
-    )
-    return touching, normals, sol.duals[touching] > 0
+    # vertex-only container beyond the enumeration bound
+    t, c, lam, Y = _vertex_program(P.points[touching], C.vertices, np.zeros(touching.size), tol)
+    if t < rho - slack:
+        raise NotOptimalError(
+            "separated", (center - c) / (rho - slack - t), f"touching points fit at {t:.9g}"
+        )
+    keep = lam > tol.eq * lam.max()
+    return touching[keep], Y[keep] / lam[keep, None], np.ones(int(keep.sum()), dtype=bool)
 
 
 def _verify_certificate(cert: Certificate, C: Container, rho, center, tol: Tolerance) -> None:
@@ -439,18 +446,3 @@ def support_points(
         raise LpError("certificate points do not reproduce the radius")
     return S
 
-
-def halfspace_lemma_check(P: PointSet, sol: Solution, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Euclidean optimality: ``make_certificate`` in the ball, so the
-    origin lies in the hull of the touching directions (p_i - c)/|p_i - c|
-    and c + rho*B covers P.  Equivalent to: every half-space with the
-    center on its boundary contains a touching point.  True at zero
-    radius, False where the certificate raises ``NotOptimalError``."""
-    ball = Container.ball(P.dim)
-    if sol.rho <= _roundoff(sol.center, ball):
-        return True
-    try:
-        make_certificate(P, ball, sol, tol)
-    except NotOptimalError:
-        return False
-    return True

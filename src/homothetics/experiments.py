@@ -194,7 +194,7 @@ def _exp_lemma_cd(params, tol):
     dims = params.get("dims", range(2, 8))
     rows = []
     for d in dims:
-        P, _ = regular_simplex(d)
+        P = PointSet(simplex_vertices(d))
         C = simplex_cap_neg(d, tol)
         for k in range(1, d + 1):
             expect = (d + 1) / 2 if k <= (d + 1) / 2 else float(k)
@@ -212,7 +212,7 @@ def _exp_henk(params, tol):
     container = _containers(tol)
     rows = []
     for d in params.get("dims", range(2, 7)):
-        P, _ = regular_simplex(d)
+        P = PointSet(simplex_vertices(d))
         rk = {k: core_radius(P, container("ball", d), k, tol).value for k in range(1, d + 1)}
         for k in range(1, d + 1):
             for l in range(1, k + 1):
@@ -239,7 +239,7 @@ def _exp_jung(params, tol):
         rows.append(_flag_row(label, "diametral-pair", ok))
     # sharp family: on simplex vertices the pair ratio approaches the bound
     for d in params.get("dims", (2, 4, 6)):
-        P, _ = regular_simplex(d)
+        P = PointSet(simplex_vertices(d))
         full = min_containment(P, container("ball", d), tol).rho
         pair = core_radius(P, container("ball", d), 1, tol).value
         rows.append(
@@ -276,7 +276,7 @@ def _exp_bohnenblust(params, tol):
 def _identity_corpus(params, tol):
     container = _containers(tol)
     for d in params.get("dims", range(2, 5)):
-        P, _ = regular_simplex(d)
+        P = PointSet(simplex_vertices(d))
         yield f"T^{d}/-T^{d}", P, container("negT", d)
         yield f"T^{d}/cap^{d}", P, container("cap", d)
         yield f"T^{d}/ball", P, container("ball", d)
@@ -345,7 +345,7 @@ def _exp_coreset_meb(params, tol):
     # two-point radius too small, so the bound ceil(1/(2 eps+eps^2))+1 = 3
     # is attained exactly
     d, eps = 8, 0.3
-    P, _ = regular_simplex(d)
+    P = PointSet(simplex_vertices(d))
     size = optimal_coreset_size(P, container("ball", d), eps, tol)
     rows.append(_value_row(f"T^{d}/ball", f"size(eps={eps}) sharp", size, _meb_size_bound(eps), 0.0))
     lhs, rhs = d / (d + 1), (1 + eps) ** 2 * 1 / 2

@@ -127,9 +127,13 @@ class Container:
     normals   (m, d) outer normals of {x : a_k.x <= 1}, or None
     vertices  (mv, d) extreme points, or None
 
-    BALL carries neither array.  DUAL carries both and they are
-    cross-validated at construction.  Half-space data with offsets other
-    than one must be rescaled before construction (`from_halfspaces`).
+    BALL carries neither array.  DUAL carries both, and construction
+    checks that every vertex lies in all the half-spaces and on at least
+    one of them.  That does not prove the vertices are all of the body's:
+    a subset of them passes, and then ``support`` and the other readers
+    of the vertices see a smaller body than the normals bound.
+    Half-space data with offsets other than one must be rescaled before
+    construction (`from_halfspaces`).
 
     ``facets`` gives unit-offset facet normals for every polytope that has
     or can get them: the given normals, or for a vertex-only container the
@@ -333,7 +337,7 @@ def _positively_spans(generators: np.ndarray, tol: Tolerance) -> bool:
     m, d = g.shape
     if _row_space(g, tol)[0] < d:
         return False
-    return _gauge_vpoly(g, -g.sum(axis=0), tol)[0] < 1.0 / tol.pivot - m
+    return _gauge_vpoly(g, -g.sum(axis=0), tol) < 1.0 / tol.pivot - m
 
 
 def _validate_container(c: Container) -> None:
@@ -369,7 +373,7 @@ def gauge(container: Container, x, tol: Tolerance = DEFAULT_TOL) -> float:
 
     Polytope with facets: max_k a_k.x clamped below at zero.  Ball:
     Euclidean norm.  Vertex-only form beyond the enumeration bound: the
-    column program of ``_gauge_vpoly``.
+    value of the column program of ``_gauge_vpoly``, one LP per point.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != container.dim:
@@ -385,24 +389,19 @@ def _gauges(C: Container, X: np.ndarray, tol: Tolerance) -> np.ndarray:
         return np.linalg.norm(X, axis=1)
     if C.facets is not None:
         return np.clip((C.facets @ X.T).max(axis=0), 0.0, None)
-    return np.array([_gauge_vpoly(C.vertices, x, tol)[0] for x in X])
+    return np.array([_gauge_vpoly(C.vertices, x, tol) for x in X])
 
 
-def _gauge_vpoly(vertices: np.ndarray, x: np.ndarray, tol: Tolerance):
-    """Gauge of x in conv(vertices) and a supporting normal a of the
-    polar (a.v_j <= 1 for every vertex, a.x = gauge), from the column
-    program min sum(mu) s.t. sum_j mu_j v_j = x, mu >= 0: d rows and one
-    column per vertex.  Its LP dual is the polar program max a.x s.t.
-    a.v_j <= 1, so the normal is the row duals.  The program is
-    infeasible when x lies outside the cone of the vertices, where the
-    gauge is inf and there is no normal.  The data go in as they are:
+def _gauge_vpoly(vertices: np.ndarray, x: np.ndarray, tol: Tolerance) -> float:
+    """Gauge of x in conv(vertices), from the column program
+    min sum(mu) s.t. sum_j mu_j v_j = x, mu >= 0: d rows and one column
+    per vertex.  The program is infeasible when x lies outside the cone
+    of the vertices, where the gauge is inf.  The data go in as they are:
     ``solve_lp`` scales the rows, so the gauge is free of their scale."""
     from .lp import LinearProgram, LpStatus, solve_lp
 
     res = solve_lp(LinearProgram.new(np.ones(len(vertices)), vertices.T, x), tol)
-    if res.status is LpStatus.INFEASIBLE:
-        return np.inf, None
-    return res.value, res.dual
+    return np.inf if res.status is LpStatus.INFEASIBLE else res.value
 
 
 def support(container: Container, direction) -> float:

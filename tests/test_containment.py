@@ -26,7 +26,6 @@ from homothetics.containment import (
     _verify_cover,
     Solution,
     all_gauges,
-    halfspace_lemma_check,
     make_certificate,
     min_containment,
     support_points,
@@ -76,6 +75,16 @@ def linprog_vertex_program(scipy_opt, P: PointSet, V: np.ndarray) -> float:
     return float(ref.fun)
 
 
+def ball_certifies(P: PointSet, sol: Solution) -> bool:
+    """``make_certificate`` in the ball: True when it certifies, False
+    when it raises ``NotOptimalError``."""
+    try:
+        make_certificate(P, Container.ball(P.dim), sol)
+    except NotOptimalError:
+        return False
+    return True
+
+
 def vertex_program_rho(P: PointSet, C: Container) -> float:
     """R(P, C) by the in-house vertex program on C's vertices, whatever
     program ``min_containment`` takes for C."""
@@ -115,7 +124,7 @@ class TestMinContainment:
         sol = min_containment(P, Container.ball(2))
         assert sol.rho == pytest.approx(np.sqrt(2.0))
         assert np.allclose(sol.center, 0, atol=1e-9)
-        assert halfspace_lemma_check(P, sol)
+        make_certificate(P, Container.ball(2), sol)
 
     def test_box_vertices(self):
         P = PointSet([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
@@ -345,9 +354,9 @@ class TestDerivedFacetSolves:
         assert sol.rho == pytest.approx(min_containment(P, box).rho, rel=1e-12)
 
     def test_suboptimal_candidate_beyond_the_bound_is_separated(self, sphere_polytope):
-        # a feasible candidate off the optimum: the fresh vertex-program
-        # solve has a smaller rho, so the normals come from the polar
-        # support of each touching point, and they certify "separated"
+        # a feasible candidate off the optimum: its touching points fit a
+        # smaller dilate, and the vertex program on them alone gives the
+        # "separated" direction
         C = sphere_polytope
         P = random_pointset(6, 8, seed=83, distribution="gauss")
         sol = min_containment(P, C)
@@ -652,21 +661,26 @@ class TestCertificates:
 
 
 class TestHalfspaceLemma:
+    """Euclidean optimality: the origin lies in the hull of the touching
+    directions (p_i - c)/|p_i - c| and c + rho*B covers P, which is
+    ``make_certificate`` in the ball."""
+
     def test_accepts_optimal(self):
         P = random_pointset(20, 3, seed=71)
         sol = min_containment(P, Container.ball(3))
-        assert halfspace_lemma_check(P, sol)
+        make_certificate(P, Container.ball(3), sol)
 
     def test_rejects_displaced_center(self):
         P = random_pointset(20, 3, seed=71)
         sol = min_containment(P, Container.ball(3))
         off = Solution(sol.rho * 1.2, sol.center + 0.3, (), (), sol.duals)
-        assert not halfspace_lemma_check(P, off)
+        with pytest.raises(NotOptimalError):
+            make_certificate(P, Container.ball(3), off)
 
     def test_simplex_touching_count(self):
         P, _ = regular_simplex(3)
         sol = min_containment(P, Container.ball(3))
-        assert halfspace_lemma_check(P, sol)
+        make_certificate(P, Container.ball(3), sol)
         assert len(sol.active_points) == 4
 
     def test_rejects_an_uncovering_radius(self):
@@ -674,7 +688,8 @@ class TestHalfspaceLemma:
         # the ball of radius 0.9 rho there does not cover P
         P = random_pointset(20, 3, seed=71)
         sol = min_containment(P, Container.ball(3))
-        assert not halfspace_lemma_check(P, replace(sol, rho=0.9 * sol.rho))
+        with pytest.raises(NotOptimalError):
+            make_certificate(P, Container.ball(3), replace(sol, rho=0.9 * sol.rho))
 
 
 class TestDirectCertificates:
@@ -708,7 +723,7 @@ class TestDirectCertificates:
                 cert = make_certificate(P, C, sol)  # checked before it returns
                 assert 2 <= len(cert.point_indices) <= d + 1
                 if tag == "ball":
-                    assert halfspace_lemma_check(P, sol)
+                    assert ball_certifies(P, sol)
         assert calls == []
 
     @pytest.mark.parametrize("tag", ["ball", "box", "cap"])
@@ -727,7 +742,7 @@ class TestDirectCertificates:
                 make_certificate(P, C, off)
             assert err.value.reason == "separated"
             if tag == "ball":
-                assert not halfspace_lemma_check(P, off)
+                assert not ball_certifies(P, off)
         assert calls
 
     def test_separated_candidate_takes_one_hull_lp_over_every_normal(self, monkeypatch):
@@ -762,7 +777,7 @@ class TestDirectCertificates:
                 U = (P.points[touching] - c) / dist[touching, None]
                 full = in_convex_hull(U, np.zeros(3)).contains
                 off = Solution(rho, c, (), (), sol.duals)
-                assert halfspace_lemma_check(P, off) == full
+                assert ball_certifies(P, off) == full
 
 
 class TestBallPath:
@@ -802,7 +817,7 @@ class TestBallPath:
         assert abs(sol.rho - sigma * base) <= 1e-9 * sigma * base + roundoff
         cert = make_certificate(Q, C, sol)
         assert 2 <= len(cert.point_indices) <= d + 1
-        assert halfspace_lemma_check(Q, sol)
+        make_certificate(Q, Container.ball(d), sol)
         S = support_points(Q, C, sol)
         assert 2 <= len(S) <= d + 1
         assert min_containment(Q.subset(S), C).rho >= sol.rho * (1.0 - 1e-6)
@@ -822,7 +837,7 @@ class TestBallPath:
         with pytest.raises(NotOptimalError) as err:
             make_certificate(P, C, off)
         assert err.value.reason == "separated"
-        assert not halfspace_lemma_check(P, off)
+        assert not ball_certifies(P, off)
 
     def test_hull_test_sees_few_generators_on_a_sphere(self, monkeypatch):
         # every point touches, but the certificate takes the support's own
@@ -841,7 +856,7 @@ class TestBallPath:
         sol = min_containment(P, C)
         assert len(sol.active_points) > 2 * (d + 1)
         cert = make_certificate(P, C, sol)
-        assert halfspace_lemma_check(P, sol)
+        make_certificate(P, Container.ball(d), sol)
         assert sizes == []
         assert len(cert.lam) <= d + 1
         assert np.max(np.abs(cert.lam @ cert.normals)) <= 1e-9
@@ -1024,3 +1039,126 @@ class TestScaleRule:
             assert t == pytest.approx(base, rel=1e-9), e
             C = Container.from_vertices(V * s)
             assert all_gauges(PointSet(P * s), C, c, DEFAULT_TOL).max() <= t * (1 + 1e-9)
+
+
+@pytest.fixture(scope="module")
+def sphere_bodies(sphere_polytope) -> dict[float, Container]:
+    """The sphere body at scales 1e-9, 1 and 1e9, each beyond the bound."""
+    V = np.asarray(sphere_polytope.vertices)
+    scaled = {s: Container.from_vertices(s * V) for s in (1e-9, 1e9)}
+    return {1e-9: scaled[1e-9], 1.0: sphere_polytope, 1e9: scaled[1e9]}
+
+
+class TestTouchingCertificates:
+    """A vertex-only body beyond the enumeration bound is certified by the
+    vertex program on the touching points alone: at an optimum its duals
+    name the points of the full program's duals, and off the optimum the
+    touching points fit a smaller dilate, whose center gives the
+    separator."""
+
+    @staticmethod
+    def _optimum_by_rounds(P: PointSet, C: Container) -> Solution:
+        # the vertex program on a subset S of P, adding the worst point about
+        # its center until that center covers P: an optimum with no
+        # n(d+1)-row program
+        V, S = np.asarray(C.vertices), [0]
+        while True:
+            t, c, _, _ = _vertex_program(P.points[S], V, np.zeros(len(S)), DEFAULT_TOL)
+            g = all_gauges(P, C, c, DEFAULT_TOL)
+            if g.max() <= t + _slack(t, c, C, DEFAULT_TOL):
+                return Solution(float(g.max()), c, (), (), np.zeros(len(P)))
+            S.append(int(np.argmax(g)))
+
+    @staticmethod
+    def _off_optimum(P: PointSet, C: Container, sol: Solution, seed: int, scale: float = 1.0):
+        # the center moved by 5% of the radius, and the radius that covers there
+        u = np.random.default_rng(seed).standard_normal(P.dim)
+        c = sol.center + 0.05 * sol.rho * scale * u / np.linalg.norm(u)
+        return Solution(float(all_gauges(P, C, c, DEFAULT_TOL).max()), c, (), (), sol.duals)
+
+    @staticmethod
+    def _touching(P: PointSet, C: Container, sol: Solution) -> np.ndarray:
+        g = all_gauges(P, C, sol.center, DEFAULT_TOL)
+        return np.flatnonzero(g >= sol.rho - 10 * _slack(sol.rho, sol.center, C, DEFAULT_TOL))
+
+    def test_no_program_beyond_the_touching_rows(self, sphere_polytope, monkeypatch):
+        # n = 60 on the sphere body in R^8: the full vertex program would
+        # have 540 rows; every LP of the certificate, optimal or separated,
+        # has at most |touching| (d+1)
+        from homothetics import lp
+
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        C, d = sphere_polytope, 8
+        solve, rows = lp.solve_lp, []
+
+        def counting(prog, *args, **kwargs):
+            rows.append(len(prog.rhs))
+            return solve(prog, *args, **kwargs)
+
+        monkeypatch.setattr(lp, "solve_lp", counting)
+        monkeypatch.setattr(containment, "solve_lp", counting)
+        for seed in (101, 102, 103):
+            P = random_pointset(60, d, seed=seed, distribution="gauss")
+            sol = self._optimum_by_rounds(P, C)
+            assert sol.rho == pytest.approx(
+                linprog_vertex_program(scipy_opt, P, np.asarray(C.vertices)), rel=1e-6
+            )
+            off = self._off_optimum(P, C, sol, seed)
+            bounds = [len(self._touching(P, C, s)) * (d + 1) for s in (sol, off)]
+            rows.clear()
+            cert = make_certificate(P, C, sol)
+            assert 2 <= len(cert.point_indices) <= d + 1
+            assert rows and max(rows) <= bounds[0]
+            rows.clear()
+            with pytest.raises(NotOptimalError) as err:
+                make_certificate(P, C, off)
+            assert err.value.reason == "separated"
+            assert rows and max(rows) <= bounds[1]
+
+    def test_point_set_of_the_full_program(self, sphere_bodies):
+        # the full program on all of P is the reference: its duals above
+        # tol.eq of their largest name the certificate's points
+        for s, C in sphere_bodies.items():
+            V = np.asarray(C.vertices)
+            for seed in range(1, 7):
+                P = random_pointset(8, 8, seed=seed, distribution="gauss").scale(s)
+                _, c, lam, _ = _vertex_program(P.points, V, np.zeros(len(P)), DEFAULT_TOL)
+                sol = Solution(float(all_gauges(P, C, c, DEFAULT_TOL).max()), c, (), (), lam)
+                cert = make_certificate(P, C, sol)
+                ref = np.flatnonzero(lam > DEFAULT_TOL.eq * lam.max()).tolist()
+                assert list(cert.point_indices) == ref, (s, seed)
+
+    def test_separator_holds_for_every_polar_normal(self, sphere_bodies):
+        # off the optimum: every supporting normal a at a touching point,
+        # here HiGHS's polar support max a.(p - c) s.t. a.v_j <= 1 on the
+        # unit-scale data, has a.y <= -1, and -eps*y lowers the worst gauge.
+        # Two candidates per seed: the optimum's center moved by 5% of rho,
+        # where one point touches, and c + 1.5 X about c for ten boundary
+        # points X of C in directions near u, which all touch
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        for s, C in sphere_bodies.items():
+            V = np.asarray(C.vertices) / s
+            for seed in range(1, 7):
+                P = random_pointset(8, 8, seed=seed, distribution="gauss").scale(s)
+                rng = np.random.default_rng(seed)
+                c, u = s * rng.standard_normal(8), rng.standard_normal(8)
+                W = s * (u / np.linalg.norm(u) + 0.5 * rng.standard_normal((10, 8)) / np.sqrt(8))
+                X = W / all_gauges(PointSet(W), C, np.zeros(8), DEFAULT_TOL)[:, None]
+                cap = PointSet(c + 1.5 * X)
+                cap_off = Solution(float(all_gauges(cap, C, c, DEFAULT_TOL).max()), c, (), (), ())
+                assert len(self._touching(cap, C, cap_off)) == len(cap)
+                shifted = self._off_optimum(P, C, min_containment(P, C), seed, s)
+                for Q, off in ((P, shifted), (cap, cap_off)):
+                    with pytest.raises(NotOptimalError) as err:
+                        make_certificate(Q, C, off)
+                    assert err.value.reason == "separated"
+                    y = err.value.direction
+                    for i in self._touching(Q, C, off):
+                        x = (Q.points[i] - off.center) / s
+                        a = scipy_opt.linprog(
+                            -x, A_ub=V, b_ub=np.ones(len(V)), bounds=[(None, None)] * 8,
+                            method="highs",
+                        ).x
+                        assert a @ y / s <= -1.0 + 1e-6, (s, seed, i)
+                    worst = all_gauges(Q, C, off.center - 1e-4 * y, DEFAULT_TOL).max()
+                    assert worst < off.rho, (s, seed)

@@ -192,11 +192,9 @@ class TestGauge:
     def test_polar_program_is_the_facet_gauge(self, name, d, seed, log_scale):
         C = _dual_body(name, d)
         x = np.random.default_rng(seed).standard_normal(d) * 10.0**log_scale
-        value, a = _gauge_vpoly(C.vertices, x, DEFAULT_TOL)
+        value = _gauge_vpoly(C.vertices, x, DEFAULT_TOL)
         expected = max(0.0, float(np.max(C.facets @ x)))
         assert value == pytest.approx(expected, rel=1e-9, abs=1e-12)
-        assert np.max(C.vertices @ a) <= 1.0 + 1e-9
-        assert a @ x == pytest.approx(value, rel=1e-9, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(-9.0, 3.0))
@@ -215,7 +213,7 @@ class TestGauge:
         assert gauge(C, s * x) == pytest.approx(s * gauge(C, x), rel=1e-9)
 
     def test_polar_program_unbounded_outside_the_cone(self):
-        assert _gauge_vpoly(np.eye(2), np.array([-1.0, 0.5]), DEFAULT_TOL) == (np.inf, None)
+        assert _gauge_vpoly(np.eye(2), np.array([-1.0, 0.5]), DEFAULT_TOL) == np.inf
 
     def test_gauge_at_origin(self):
         assert gauge(simplex_cap_neg(3), np.zeros(3)) == 0.0
