@@ -18,7 +18,10 @@ representation, and each representation has one:
 - vertex program (vertices v_j): p_i = c + sum_j mu_ij v_j with
   sum_j mu_ij = offsets_i + t; its duals give a weight and a supporting
   normal per point.  Only the vertex-only containers beyond the
-  enumeration bound take it.
+  enumeration bound take it, in farthest-point rounds (``_rounds``, the
+  loop of ``coresets.greedy_coreset`` too): on the first d+2 points,
+  then adding the worst-covered point until the working set's center
+  covers all of them, rather than in one program over all points.
 
 Both programs are built on the data as given, relative to the first
 point, and ``lp.solve_lp`` scales their rows, so their answers scale and
@@ -169,10 +172,11 @@ def min_containment(P: PointSet, C: Container, tol: Tolerance = DEFAULT_TOL) -> 
         rho, center, active_normals = ball.radius, ball.center, ()
         duals = np.zeros(len(P))
         duals[list(ball.support)] = ball.weights
+        gauges = all_gauges(P, C, center, tol)
     else:
-        t, center, duals, active_normals = _polytope_program(P.points, np.zeros(len(P)), C, tol)
+        zeros = np.zeros(len(P))
+        t, center, duals, active_normals, gauges = _polytope_program(P.points, zeros, C, tol)
         rho = max(0.0, t)
-    gauges = all_gauges(P, C, center, tol)
     _verify_cover(gauges, rho, center, C, tol)
     active = np.flatnonzero(gauges >= rho - _slack(rho, center, C, tol)).tolist()
     return Solution(rho, center, tuple(active), active_normals, duals)
@@ -181,10 +185,20 @@ def min_containment(P: PointSet, C: Container, tol: Tolerance = DEFAULT_TOL) -> 
 def _polytope_program(points: np.ndarray, offsets: np.ndarray, C: Container, tol: Tolerance):
     """min t  s.t.  gauge(p_i - c) <= offsets_i + t  for every point p_i of
     a polytope C: the facet program where ``C.facets`` exists, the vertex
-    program otherwise.  Returns (t, c, point weights, active facets); the
-    weights are nonnegative and sum to one, and the active facets are the
-    rows of ``C.facets`` whose weight exceeds tol.eq (none on the vertex
-    program)."""
+    program otherwise.  Returns (t, c, point weights, active facets,
+    excesses gauge(p_i - c) - offsets_i); the weights are nonnegative and
+    sum to one, and the active facets are the rows of ``C.facets`` whose
+    weight exceeds tol.eq (none on the vertex program).
+
+    The vertex program runs in ``_rounds``: on the first min(n, d+2)
+    points, the zero-core-set bound plus one violator, then on those
+    plus the worst point of each round until its center covers all of
+    the points, so n <= d+2 points take a single program.  S is never
+    trimmed to its weighted support (one point has weight zero), so each
+    round grows S and the rounds end.  The last round's excesses are the
+    cover check's.  When all points coincide the weights total zero, and
+    the first point carries weight one, as in ``min_containment``'s
+    single-point case."""
     if C.facets is not None:
         # only the outermost point per facet can bind:
         # h_k = max_i a_k.p_i - offsets_i, taken relative to the first point
@@ -196,13 +210,37 @@ def _polytope_program(points: np.ndarray, offsets: np.ndarray, C: Container, tol
         weights = np.bincount(np.argmax(prods, axis=0), weights=lam, minlength=len(points))
         # a basic weight can sit at round-off (4e-17 for two vertices of the
         # triangle in T cap -T); only weights above tol.eq count as active
-        return t, origin + center, weights, tuple(np.flatnonzero(lam > tol.eq).tolist())
-    t, center, lam, _ = _vertex_program(points, C.vertices, offsets, tol)
-    lam = np.clip(lam, 0.0, None)
-    total = lam.sum()
-    if total > 0:
-        lam /= total
-    return t, center, lam, ()
+        active = tuple(np.flatnonzero(lam > tol.eq).tolist())
+        center = origin + center
+        return t, center, weights, active, _gauges(C, points - center, tol) - offsets
+
+    def solve(S):
+        return _vertex_program(points[S], C.vertices, offsets[S], tol)[:3]
+
+    start = list(range(min(len(points), points.shape[1] + 2)))
+    t, center, lam, S, excess = _rounds(points, offsets, C, start, solve, 0.0, tol)
+    weights = np.zeros(len(points))
+    weights[S] = np.clip(lam, 0.0, None)
+    weights[0] += not weights.any()
+    return t, center, weights / weights.sum(), (), excess
+
+
+def _rounds(points, offsets, C: Container, S: list[int], solve, eps: float, tol: Tolerance):
+    """Farthest-point rounds: solve(S) gives (t, c, weights on S); the
+    excess of each point is gauge(p_i - c) - offsets_i.  Stops when none
+    exceeds (1+eps) t by more than the gauge slack of ``_slack`` at the
+    gauge bound t + max offsets; otherwise the worst point joins S, and
+    a worst point already in S raises ``LpError``.  Returns (t, c,
+    weights, S, excesses) of the last round."""
+    while True:
+        t, c, w = solve(S)
+        excess = _gauges(C, points - c, tol) - offsets
+        worst = int(np.argmax(excess))
+        if excess[worst] <= (1.0 + eps) * t + _slack(t + offsets.max(), c, C, tol):
+            return t, c, w, S, excess
+        if worst in S:
+            raise LpError(f"point {worst} of S is uncovered by its own solution")
+        S = sorted(S + [worst])
 
 
 def _verify_cover(gauges: np.ndarray, rho: float, center, C: Container, tol: Tolerance) -> None:
@@ -239,15 +277,20 @@ def _vertex_program(points: np.ndarray, V: np.ndarray, offsets: np.ndarray, tol:
     Solved on p_i - p_0, so that the center is found relative to the
     first point, with c in units of the largest |vertex coordinate|, so
     that c, t and mu are all gauge-sized; ``solve_lp`` scales the rows.
+    An exact repeat of a (point, offset) pair adds no rows: its first
+    occurrence carries its weight and normal, and the repeat gets zero
+    (d+1 repeated rows, zero on the first point, stall phase 1).
     Returns (t, c, lam, Y): per-point weights lam_i and dual vectors Y_i;
     where lam_i > 0, Y_i / lam_i is a supporting normal (unit offset) of
     the dilated container at p_i.
     """
-    n, d = points.shape
+    d = points.shape[1]
     m = V.shape[0]
+    keep = np.sort(np.unique(np.column_stack([points, offsets]), axis=0, return_index=True)[1])
     origin = points[0]
     # variables (c_1+, c_1-, ..., c_d+, c_d-, t, mu_11..mu_nm), c = c+ - c-;
-    # d + 1 rows per point
+    # d + 1 rows per kept point
+    n = len(keep)
     k = 2 * d
     nvar = k + 1 + n * m
     rows = n * (d + 1)
@@ -255,12 +298,12 @@ def _vertex_program(points: np.ndarray, V: np.ndarray, offsets: np.ndarray, tol:
     rhs = np.zeros(rows)
     unit = float(np.abs(V).max())
     split = np.kron(np.eye(d), [unit, -unit])
-    for i in range(n):
-        r0 = i * (d + 1)
+    for r, i in enumerate(keep):
+        r0 = r * (d + 1)
         lhs[r0 : r0 + d, :k] = split
-        lhs[r0 : r0 + d, k + 1 + i * m : k + 1 + (i + 1) * m] = V.T
+        lhs[r0 : r0 + d, k + 1 + r * m : k + 1 + (r + 1) * m] = V.T
         rhs[r0 : r0 + d] = points[i] - origin
-        lhs[r0 + d, k + 1 + i * m : k + 1 + (i + 1) * m] = 1.0
+        lhs[r0 + d, k + 1 + r * m : k + 1 + (r + 1) * m] = 1.0
         lhs[r0 + d, k] = -1.0
         rhs[r0 + d] = offsets[i]
     obj = np.zeros(nvar)
@@ -269,7 +312,8 @@ def _vertex_program(points: np.ndarray, V: np.ndarray, offsets: np.ndarray, tol:
     if res.status is not LpStatus.OPTIMAL:
         raise LpError(f"containment LP ended {res.status}")
     center = unit * (res.primal[0:k:2] - res.primal[1:k:2])
-    duals = res.dual.reshape(n, d + 1)
+    duals = np.zeros((len(points), d + 1))
+    duals[keep] = res.dual.reshape(n, d + 1)
     return res.value, origin + center, -duals[:, d], duals[:, :d]
 
 

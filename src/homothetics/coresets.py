@@ -17,6 +17,7 @@ import numpy as np
 
 from .containment import (
     _polytope_program,
+    _rounds,
     _slack,
     all_gauges,
     min_containment,
@@ -29,7 +30,6 @@ from .geometry import (
     PointSet,
     Tolerance,
 )
-from .lp import LpError
 from .radii import DEFAULT_BUDGET, core_radii
 
 __all__ = [
@@ -68,29 +68,26 @@ def greedy_coreset(
     """Farthest-point greedy: grow S until its dilated solution covers P.
 
     Starts from a double-sweep pair (farthest from the first point, then
-    farthest from that) and adds the worst-covered point each round, so it
-    ends within n rounds; a round whose worst point is already in S raises
-    ``LpError``.  A point counts as covered within the gauge slack of
-    ``containment``, tol.feas relative to the radius, so the stop test is
-    free of the data's scale.  The result is center-conform by
-    construction.
+    farthest from that) and adds the worst-covered point each round, in
+    ``containment``'s farthest-point rounds, so it ends within n rounds;
+    a round whose worst point is already in S raises ``LpError``.  A
+    point counts as covered within the gauge slack of ``containment``,
+    tol.feas relative to the radius, so the stop test is free of the
+    data's scale.  The result is center-conform by construction.
     """
     if eps <= 0:
         raise ValueError("greedy needs eps > 0; use extract_zero_coreset for eps = 0")
     pts = P.points
     p1 = int(np.argmax(all_gauges(P, C, pts[0], tol)))
     p0 = int(np.argmax(all_gauges(P, C, pts[p1], tol)))
-    S = sorted({p0, p1})  # [0] when all points coincide
-    while True:
+
+    def solve(S):
         sol = min_containment(P.subset(S), C, tol)
-        gauges = all_gauges(P, C, sol.center, tol)
-        worst = int(np.argmax(gauges))
-        if gauges[worst] <= (1.0 + eps) * sol.rho + _slack(sol.rho, sol.center, C, tol):
-            achieved = _coverage_eps(gauges, sol.rho, tol)
-            return CoreSet(tuple(S), sol.rho, sol.center, achieved, True)
-        if worst in S:
-            raise LpError(f"greedy core-set: point {worst} of S is uncovered by its own solution")
-        S = sorted(S + [worst])
+        return sol.rho, sol.center, sol.duals
+
+    start = sorted({p0, p1})  # [0] when all points coincide
+    rho, center, _, S, gauges = _rounds(pts, np.zeros(len(P)), C, start, solve, eps, tol)
+    return CoreSet(tuple(S), rho, center, _coverage_eps(gauges, rho, tol), True)
 
 
 def extract_zero_coreset(P: PointSet, C: Container, tol: Tolerance = DEFAULT_TOL) -> CoreSet:
@@ -168,8 +165,9 @@ def _find_covering_center(
     gauge(p - c) <= (1+eps) radius on all of P, or None; C is a polytope.
 
     Both conditions become one ``_polytope_program`` over P and S, with
-    offsets (1+eps) radius on P and radius on S.  Its value t is the
-    largest violation, so near-ties within the gauge slack of
+    offsets (1+eps) radius on P and radius on S (on a vertex-only body
+    beyond the bound, solved in its farthest-point rounds).  Its value t
+    is the largest violation, so near-ties within the gauge slack of
     ``containment`` at (1+eps) radius about P's coordinates are accepted.
     """
     allowed = (1.0 + eps) * radius
@@ -177,7 +175,7 @@ def _find_covering_center(
     # P first, so that the facet program solves about P's first point
     pts = np.vstack([P.points, P.points[idx]])
     offsets = np.concatenate([np.full(len(P), allowed), np.full(len(idx), radius)])
-    t, center, _, _ = _polytope_program(pts, offsets, C, tol)
+    t, center, _, _, _ = _polytope_program(pts, offsets, C, tol)
     return center if t <= slack else None
 
 

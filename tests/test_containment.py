@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -400,9 +401,12 @@ class TestDerivedFacetSolves:
         P = random_pointset(30, 5, seed=89)
         make_certificate(P, C, min_containment(P, C))
         assert calls == []
-        # the patch is live: a body beyond the bound takes the vertex program
-        min_containment(random_pointset(4, 8, seed=89), sphere_polytope)
-        assert calls == [1]
+        # the patch is live: a body beyond the bound takes the vertex program,
+        # in a single program on up to d+2 = 10 points
+        for n in (4, 10):
+            calls.clear()
+            min_containment(random_pointset(n, 8, seed=89), sphere_polytope)
+            assert calls == [1]
 
     def test_many_derived_facets_take_facet_program(self, monkeypatch):
         # the prism over 20 points on the sphere in R^7: 40 vertices and 666
@@ -434,6 +438,34 @@ class TestDerivedFacetSolves:
         monkeypatch.setattr(containment, "solve_lp", counting)
         assert validate_coreset(P, C, [0, 1], 0.0, require_center_conform=True)
         assert rows and set(rows) == {9}
+
+
+class TestRepeatedPoints:
+    """Exact repeats of a point on a vertex-only body beyond the bound: the
+    vertex program builds rows for the first occurrence only."""
+
+    @staticmethod
+    def _pair():
+        return random_pointset(1, 8, seed=5).points[0], random_pointset(1, 8, seed=6).points[0]
+
+    def test_copies_of_the_first_point_solve(self, sphere_polytope):
+        # each copy of the first point added d+1 rows with zero right-hand
+        # side, on which phase 1 stalled ("singular basis", "iteration cap")
+        C, (p, q) = sphere_polytope, self._pair()
+        R = min_containment(PointSet(np.array([p, q])), C).rho
+        for copies, touching in (([p] * 4 + [q], (0, 4)), ([p] * 6 + [q] * 5, (0, 6))):
+            P = PointSet(np.array(copies))
+            sol = min_containment(P, C)
+            assert sol.rho == pytest.approx(R, rel=1e-12)
+            assert make_certificate(P, C, sol).point_indices == touching
+        for k in (5, 9, 12):
+            assert min_containment(PointSet(np.array([p] * k)), C).rho == 0.0
+
+    def test_coincident_points_weigh_one_on_the_first(self, sphere_polytope):
+        p = self._pair()[0]
+        for k in (2, 3, 4, 5, 12):
+            duals = min_containment(PointSet(np.array([p] * k)), sphere_polytope).duals
+            assert duals.tolist() == [1.0] + [0.0] * (k - 1), k
 
 
 class TestGeneratedBeyondTheBound:
@@ -550,7 +582,7 @@ class TestPolytopeProgram:
         # offsets below R(P, C), so the optimal t stays positive (the
         # vertex program's t is nonnegative)
         offsets = min_containment(P, C).rho * rng.uniform(0.0, 0.9, n)
-        t, center, weights, active = _polytope_program(P.points, offsets, C, DEFAULT_TOL)
+        t, center, weights, active, _ = _polytope_program(P.points, offsets, C, DEFAULT_TOL)
         ref = _vertex_program(P.points, np.asarray(C.vertices), offsets, DEFAULT_TOL)[0]
         assert t == pytest.approx(ref, rel=1e-9)
         assert active  # facet program
@@ -1057,19 +1089,6 @@ class TestTouchingCertificates:
     separator."""
 
     @staticmethod
-    def _optimum_by_rounds(P: PointSet, C: Container) -> Solution:
-        # the vertex program on a subset S of P, adding the worst point about
-        # its center until that center covers P: an optimum with no
-        # n(d+1)-row program
-        V, S = np.asarray(C.vertices), [0]
-        while True:
-            t, c, _, _ = _vertex_program(P.points[S], V, np.zeros(len(S)), DEFAULT_TOL)
-            g = all_gauges(P, C, c, DEFAULT_TOL)
-            if g.max() <= t + _slack(t, c, C, DEFAULT_TOL):
-                return Solution(float(g.max()), c, (), (), np.zeros(len(P)))
-            S.append(int(np.argmax(g)))
-
-    @staticmethod
     def _off_optimum(P: PointSet, C: Container, sol: Solution, seed: int, scale: float = 1.0):
         # the center moved by 5% of the radius, and the radius that covers there
         u = np.random.default_rng(seed).standard_normal(P.dim)
@@ -1083,8 +1102,9 @@ class TestTouchingCertificates:
 
     def test_no_program_beyond_the_touching_rows(self, sphere_polytope, monkeypatch):
         # n = 60 on the sphere body in R^8: the full vertex program would
-        # have 540 rows; every LP of the certificate, optimal or separated,
-        # has at most |touching| (d+1)
+        # have 540 rows.  The solve's rounds stay within 2 (d+2) (d+1) rows,
+        # and every LP of the certificate, optimal or separated, has at
+        # most |touching| (d+1)
         from homothetics import lp
 
         scipy_opt = pytest.importorskip("scipy.optimize")
@@ -1099,7 +1119,9 @@ class TestTouchingCertificates:
         monkeypatch.setattr(containment, "solve_lp", counting)
         for seed in (101, 102, 103):
             P = random_pointset(60, d, seed=seed, distribution="gauss")
-            sol = self._optimum_by_rounds(P, C)
+            rows.clear()
+            sol = min_containment(P, C)
+            assert rows and max(rows) <= 2 * (d + 2) * (d + 1)
             assert sol.rho == pytest.approx(
                 linprog_vertex_program(scipy_opt, P, np.asarray(C.vertices)), rel=1e-6
             )
@@ -1117,16 +1139,19 @@ class TestTouchingCertificates:
 
     def test_point_set_of_the_full_program(self, sphere_bodies):
         # the full program on all of P is the reference: its duals above
-        # tol.eq of their largest name the certificate's points
+        # tol.eq of their largest name the certificate's points, both at its
+        # own optimum and at the solve's, which at n = 16 > d+2 runs in
+        # rounds
         for s, C in sphere_bodies.items():
             V = np.asarray(C.vertices)
-            for seed in range(1, 7):
-                P = random_pointset(8, 8, seed=seed, distribution="gauss").scale(s)
+            for n, seed in product((8, 16), range(1, 7)):
+                P = random_pointset(n, 8, seed=seed, distribution="gauss").scale(s)
                 _, c, lam, _ = _vertex_program(P.points, V, np.zeros(len(P)), DEFAULT_TOL)
                 sol = Solution(float(all_gauges(P, C, c, DEFAULT_TOL).max()), c, (), (), lam)
-                cert = make_certificate(P, C, sol)
                 ref = np.flatnonzero(lam > DEFAULT_TOL.eq * lam.max()).tolist()
-                assert list(cert.point_indices) == ref, (s, seed)
+                for candidate in (sol, min_containment(P, C)):
+                    cert = make_certificate(P, C, candidate)
+                    assert list(cert.point_indices) == ref, (s, n, seed)
 
     def test_separator_holds_for_every_polar_normal(self, sphere_bodies):
         # off the optimum: every supporting normal a at a touching point,

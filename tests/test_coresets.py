@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from homothetics import DEFAULT_TOL, Container, DimensionMismatch, PointSet, coresets, reflect
-from homothetics.containment import all_gauges, min_containment
+from homothetics.containment import _slack, _vertex_program, all_gauges, min_containment
 from homothetics.lp import LpError
 from homothetics.radii import core_radii, core_radius
 from homothetics.coresets import (
@@ -270,6 +270,28 @@ class TestBoxAmbiguity:
         pair = [0, 1]
         assert validate_coreset(P, prism, pair, 0.0, require_center_conform=True)
         assert not validate_coreset(P, prism, pair, 0.0, require_center_conform=True, fixed_center=True)
+
+    def test_sphere_body_search_matches_the_stacked_program(self, sphere_polytope):
+        # beyond the bound the search runs in rounds over the 12 + |S| stacked
+        # points; the reference solves the full stacked vertex program
+        C = sphere_polytope
+        V, answers = np.asarray(C.vertices), []
+        for seed in (1, 2, 3):
+            P = random_pointset(12, 8, seed=seed, distribution="gauss")
+            full = min_containment(P, C).rho
+            for idx, eps in (([0, 1, 2], 0.5), ([0, 1, 2, 3, 4], 0.2)):
+                radius = min_containment(P.subset(idx), C).rho
+                allowed = (1.0 + eps) * radius
+                pts = np.vstack([P.points, P.points[idx]])
+                offsets = np.r_[np.full(12, allowed), np.full(len(idx), radius)]
+                t = _vertex_program(pts, V, offsets, DEFAULT_TOL)[0]
+                ref = full <= allowed + DEFAULT_TOL.eq * full and t <= _slack(
+                    allowed, P.points, C, DEFAULT_TOL
+                )
+                got = validate_coreset(P, C, idx, eps, require_center_conform=True)
+                assert got == ref, (seed, idx)
+                answers.append(got)
+        assert answers == [False, True, False, False, True, False]
 
     def test_tau_zero_instance(self):
         P = box_ambiguity_instance(2, 0.0)
