@@ -28,18 +28,9 @@ from .geometry import (
     container_to_json,
     pointset_from_json,
     pointset_to_json,
-    reflect,
 )
-from .instances import (
-    FAMILIES,
-    InstanceSpec,
-    regular_simplex,
-    simplex_cap_neg,
-    standard_container,
-)
+from .instances import CONTAINERS, FAMILIES, InstanceSpec, standard_container
 from .radii import DEFAULT_BUDGET, core_radius, minkowski_asymmetry
-
-_NAMED_CONTAINERS = ("ball", "box", "cross", "simplex", "neg-simplex", "cap")
 
 
 class _CliError(Exception):
@@ -63,7 +54,7 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
             "--container",
             default=None,
             help="named container (%s) or @file.json; overrides the instance's"
-            % "|".join(_NAMED_CONTAINERS),
+            % "|".join(CONTAINERS),
         )
 
 
@@ -104,15 +95,9 @@ def _named_container(spec: str, dim: int | None) -> Container:
             raise _CliError(f"cannot read container: {exc}") from exc
     if dim is None:
         raise _CliError("named containers need a point set to infer the dimension")
-    if spec in ("ball", "box", "cross"):
-        return standard_container(spec, dim)
-    if spec == "simplex":
-        return regular_simplex(dim)[1]
-    if spec == "neg-simplex":
-        return reflect(regular_simplex(dim)[1])
-    if spec == "cap":
-        return simplex_cap_neg(dim)
-    raise _CliError(f"unknown container {spec!r}; use one of {', '.join(_NAMED_CONTAINERS)}")
+    if spec not in CONTAINERS:
+        raise _CliError(f"unknown container {spec!r}; use one of {', '.join(CONTAINERS)}")
+    return standard_container(spec, dim)
 
 
 def _emit(obj: dict, args) -> None:

@@ -18,6 +18,7 @@ import numpy as np
 from .containment import (
     _polytope_program,
     _rounds,
+    _roundoff,
     _slack,
     all_gauges,
     min_containment,
@@ -110,12 +111,17 @@ def optimal_coreset_size(
 ) -> int:
     """Exact minimum size of an eps-core-set: smallest k+1 with
     R(P) <= (1+eps) R_k(P), within tol.eq relative to R(P), reading R_1,
-    R_2, ... from one ``core_radii`` pass until one qualifies.  R_d(P) is
+    R_2, ... from one ``core_radii`` pass until one qualifies.  R_0 is
+    zero, so size 1 qualifies when R(P) is zero, i.e. at most the gauge
+    round-off about its center (``containment._roundoff``).  R_d(P) is
     R(P) itself, so k = d (size d+1) always qualifies and is not
     computed."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    full = min_containment(P, C, tol).rho
+    sol = min_containment(P, C, tol)
+    full = sol.rho
+    if full <= _roundoff(sol.center, C):
+        return 1
     for core in core_radii(P, C, range(1, P.dim), tol, budget):
         if full <= (1.0 + eps) * core.value + tol.eq * full:
             return core.k + 1

@@ -22,12 +22,10 @@ from .coresets import (
     optimal_coreset_size,
     validate_coreset,
 )
-from .geometry import Container, DEFAULT_TOL, PointSet, Tolerance, reflect
+from .geometry import Container, DEFAULT_TOL, PointSet, Tolerance
 from .instances import (
     box_ambiguity_instance,
     random_pointset,
-    regular_simplex,
-    simplex_cap_neg,
     simplex_vertices,
     standard_container,
     symmetric_counterexample,
@@ -142,37 +140,33 @@ def _random_sets(params, count, seed, d_hi, n_hi):
         yield f"random[{seed + 1 + t}] n={n} d={d}", random_pointset(n, d, seed=seed + 1 + t), rng
 
 
-def _family(name: str, d: int, tol: Tolerance) -> Container:
-    if name == "negT":
-        return reflect(regular_simplex(d)[1])
-    if name == "cap":
-        return simplex_cap_neg(d, tol)
-    return standard_container(name, d)
-
-
 def _containers(tol: Tolerance):
-    """(family, d) -> generated container (ball, box, cross, negT, cap),
-    each built once.  Each experiment call makes its own, so no container
-    outlives the call and repeated calls do the same work."""
-    return cache(lambda name, d: _family(name, d, tol))
+    """(name, d) -> ``standard_container(name, d, tol)``, each built once.
+    Each experiment call makes its own, so no container outlives the call
+    and repeated calls do the same work."""
+    return cache(lambda name, d: standard_container(name, d, tol))
+
+
+# the catalog labels -T "negT"
+_LABEL = {"neg-simplex": "negT"}
 
 
 # -- individual experiments ---------------------------------------------------
 
 
 def _exp_asymm(params, tol):
+    container = _containers(tol)
     dims = params.get("dims", range(2, 9))
     sym_dims = params.get("sym_dims", range(2, 6))
     rows = []
     for d in dims:
-        P, T = regular_simplex(d)
+        P = PointSet(simplex_vertices(d))
+        T, neg = container("simplex", d), container("neg-simplex", d)
         rows.append(_value_row(f"T^{d}", "s(C)", minkowski_asymmetry(T, tol), d, tol.eq))
-        rows.append(
-            _value_row(f"T^{d}", "R(P,-P)", min_containment(P, reflect(T), tol).rho, d, tol.eq)
-        )
+        rows.append(_value_row(f"T^{d}", "R(P,-P)", min_containment(P, neg, tol).rho, d, tol.eq))
     for d in sym_dims:
         for name in ("box", "cross", "cap", "ball"):
-            C = _family(name, d, tol)
+            C = container(name, d)
             rows.append(_value_row(f"{name}^{d}", "s(C)", minkowski_asymmetry(C, tol), 1.0, tol.eq))
     return rows
 
@@ -181,8 +175,7 @@ def _exp_core_radii_neg_simplex(params, tol):
     dims = params.get("dims", range(2, 7))
     rows = []
     for d in dims:
-        P, T = regular_simplex(d)
-        neg = reflect(T)
+        P, neg = PointSet(simplex_vertices(d)), standard_container("neg-simplex", d, tol)
         for k in range(1, d + 1):
             rows.append(
                 _value_row(f"T^{d}/-T^{d}", f"R_{k}", core_radius(P, neg, k, tol).value, k, tol.eq)
@@ -194,8 +187,7 @@ def _exp_lemma_cd(params, tol):
     dims = params.get("dims", range(2, 8))
     rows = []
     for d in dims:
-        P = PointSet(simplex_vertices(d))
-        C = simplex_cap_neg(d, tol)
+        P, C = PointSet(simplex_vertices(d)), standard_container("cap", d, tol)
         for k in range(1, d + 1):
             expect = (d + 1) / 2 if k <= (d + 1) / 2 else float(k)
             rows.append(
@@ -253,8 +245,7 @@ def _exp_bohnenblust(params, tol):
     asymmetry = cache(lambda name, d: minkowski_asymmetry(container(name, d), tol))
     rows = []
     for d in params.get("dims", (2, 3, 4)):
-        P, T = regular_simplex(d)
-        neg = reflect(T)
+        P, neg = PointSet(simplex_vertices(d)), container("neg-simplex", d)
         s = minkowski_asymmetry(neg, tol)
         bound = (1 + s) * d / (d + 1)
         ratio = min_containment(P, neg, tol).rho / core_radius(P, neg, 1, tol).value
@@ -265,11 +256,11 @@ def _exp_bohnenblust(params, tol):
         ratio2 = min_containment(P, diff, tol).rho / core_radius(P, diff, 1, tol).value
         rows.append(_value_row(f"T^{d}/(T-T)", "R/R_1 (equality)", ratio2, 2 * d / (d + 1), tol.eq))
     for label, P, _ in _random_sets(params, 15, 4000, 5, 11):
-        for name in ("ball", "box", "negT"):
+        for name in ("ball", "box", "neg-simplex"):
             C = container(name, P.dim)
             bound = (1 + asymmetry(name, P.dim)) * P.dim / (P.dim + 1)
             ratio = min_containment(P, C, tol).rho / core_radius(P, C, 1, tol).value
-            rows.append(_bound_row(f"{label}/{name}", "R/R_1", ratio, bound, tol.eq))
+            rows.append(_bound_row(f"{label}/{_LABEL.get(name, name)}", "R/R_1", ratio, bound, tol.eq))
     return rows
 
 
@@ -277,13 +268,13 @@ def _identity_corpus(params, tol):
     container = _containers(tol)
     for d in params.get("dims", range(2, 5)):
         P = PointSet(simplex_vertices(d))
-        yield f"T^{d}/-T^{d}", P, container("negT", d)
+        yield f"T^{d}/-T^{d}", P, container("neg-simplex", d)
         yield f"T^{d}/cap^{d}", P, container("cap", d)
         yield f"T^{d}/ball", P, container("ball", d)
-    families = ["ball", "box", "cross", "negT", "cap"]
+    names = ["ball", "box", "cross", "neg-simplex", "cap"]
     for t, (label, P, _) in enumerate(_random_sets(params, 12, 5000, 5, 11)):
-        fam = families[t % len(families)]
-        yield f"{label}/{fam}", P, container(fam, P.dim)
+        name = names[t % len(names)]
+        yield f"{label}/{_LABEL.get(name, name)}", P, container(name, P.dim)
 
 
 def _exp_identity_radii(params, tol):
@@ -367,9 +358,8 @@ def _exp_coreset_linear(params, tol):
     dims = params.get("dims", range(3, 7))
     rows = []
     for d in dims:
-        P, T = regular_simplex(d)
-        neg = reflect(T)
-        cap = simplex_cap_neg(d, tol)
+        P = PointSet(simplex_vertices(d))
+        neg, cap = standard_container("neg-simplex", d, tol), standard_container("cap", d, tol)
         for eps in eps_grid:
             bound = _linear_size_bound(d, eps)
             size_neg = optimal_coreset_size(P, neg, eps, tol)
@@ -397,7 +387,7 @@ def _exp_center_conformity(params, tol):
     # ambiguous-center failure and its repair
     d, tau, eps = 3, 1.0, 0.9
     P = box_ambiguity_instance(d, tau)
-    box = standard_container("box", d)
+    box = container("box", d)
     pair = [len(P) - 2, len(P) - 1]
     fixed_fails = not validate_coreset(P, box, pair, eps, require_center_conform=True, fixed_center=True, tol=tol)
     search_ok = validate_coreset(P, box, pair, 0.0, require_center_conform=True, tol=tol)
@@ -410,7 +400,7 @@ def _exp_panigrahy(params, tol):
     rows = []
     for d in params.get("dims", (3, 4, 5, 6)):
         X = simplex_vertices(d)
-        neg = reflect(regular_simplex(d)[1])
+        neg = standard_container("neg-simplex", d, tol)
         S = PointSet(X[:d])
         sol = min_containment(S, neg, tol)
         body = sol.center + sol.rho * (-X)  # vertices of c_S + (d-1) * (-T^d)

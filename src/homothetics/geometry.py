@@ -131,7 +131,9 @@ class Container:
     checks that every vertex lies in all the half-spaces and on at least
     one of them.  That does not prove the vertices are all of the body's:
     a subset of them passes, and then ``support`` and the other readers
-    of the vertices see a smaller body than the normals bound.
+    of the vertices see a smaller body than the normals bound.  That
+    matters only for external "dual" input: the generated dual bodies
+    (``instances.standard_container``, the prisms) list every vertex.
     Half-space data with offsets other than one must be rescaled before
     construction (`from_halfspaces`).
 

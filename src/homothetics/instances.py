@@ -37,6 +37,8 @@ __all__ = [
 ENUM_BOUND = 1 << 20
 _PAIR_CHUNK = 1 << 18
 
+CONTAINERS = ("ball", "box", "cross", "simplex", "neg-simplex", "cap")
+
 FAMILIES = (
     "regular-simplex",
     "cap",
@@ -73,15 +75,13 @@ class InstanceSpec:
     def build(self) -> tuple[PointSet | None, Container | None]:
         if self.family == "regular-simplex":
             return regular_simplex(self.dim)
-        if self.family == "cap":
-            return None, simplex_cap_neg(self.dim)
         if self.family == "sym-prism":
             return None, symmetric_counterexample(self.dim, self.k)
         if self.family == "box-ambiguity":
             return box_ambiguity_instance(self.dim, self.tau), standard_container("box", self.dim)
         if self.family == "random":
             return random_pointset(self.n, self.dim, self.seed, self.distribution), None
-        return None, standard_container(self.family, self.dim)
+        return None, standard_container(self.family, self.dim)  # cap, ball, box, cross
 
 
 def simplex_vertices(d: int) -> np.ndarray:
@@ -107,22 +107,25 @@ def simplex_vertices(d: int) -> np.ndarray:
 def regular_simplex(d: int) -> tuple[PointSet, Container]:
     """Vertex set of the regular simplex and the simplex itself as a
     container in dual representation (normals a_j = -x_j)."""
+    return PointSet(simplex_vertices(d)), standard_container("simplex", d)
+
+
+def _cap_arrays(d: int, tol: Tolerance) -> tuple[np.ndarray, np.ndarray | None]:
+    """Normals of T ∩ (-T), the rows ±x_i, and its vertices by
+    ``_polar_vertices``, or None when they exceed the enumeration bound."""
     X = simplex_vertices(d)
-    return PointSet(X), Container.dual_rep(-X, X)
+    normals = np.vstack([-X, X])
+    return normals, _polar_vertices(normals, tol)
 
 
 def simplex_cap_neg(d: int, tol: Tolerance = DEFAULT_TOL) -> Container:
     """The symmetric body T ∩ (-T): simplex intersected with its
     reflection, in dual representation, or half-space only when it has
     more vertices than the enumeration bound keeps (d = 10 and d >= 12)."""
-    X = simplex_vertices(d)
-    H = Container.from_normals(np.vstack([-X, X]))
-    try:
-        return vertex_enumeration(H, tol)
-    except InvalidContainer:
-        raise
-    except ValueError:  # beyond ENUM_BOUND
-        return H
+    normals, vertices = _cap_arrays(d, tol)
+    if vertices is None:
+        return Container.from_normals(normals)
+    return Container.dual_rep(normals, vertices)
 
 
 def symmetric_counterexample(d: int, k: int, tol: Tolerance = DEFAULT_TOL) -> Container:
@@ -131,31 +134,41 @@ def symmetric_counterexample(d: int, k: int, tol: Tolerance = DEFAULT_TOL) -> Co
     cap is."""
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-    cap, pad = simplex_cap_neg(k, tol), d - k
     if k == d:
-        return cap
+        return simplex_cap_neg(d, tol)
+    (cap_normals, cap_vertices), pad = _cap_arrays(k, tol), d - k
     box = np.vstack([np.eye(pad), -np.eye(pad)])
-    normals = np.block([[cap.normals, np.zeros((len(cap.normals), pad))], [np.zeros((2 * pad, k)), box]])
-    if cap.vertices is None:
+    normals = np.block([[cap_normals, np.zeros((len(cap_normals), pad))], [np.zeros((2 * pad, k)), box]])
+    if cap_vertices is None:
         return Container.from_normals(normals)
-    corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * pad), indexing="ij")).reshape(pad, -1).T
-    V = np.repeat(cap.vertices, len(corners), axis=0)
-    return Container.dual_rep(normals, np.hstack([V, np.tile(corners, (len(cap.vertices), 1))]))
+    corners = _corners(pad)
+    V = np.repeat(cap_vertices, len(corners), axis=0)
+    return Container.dual_rep(normals, np.hstack([V, np.tile(corners, (len(cap_vertices), 1))]))
 
 
-def standard_container(name: str, d: int) -> Container:
-    """ball | box | cross, each with the obvious representations."""
+def _corners(d: int) -> np.ndarray:
+    """The 2^d sign vectors of R^d, the last coordinate varying fastest."""
+    return np.array(np.meshgrid(*([[-1.0, 1.0]] * d), indexing="ij")).reshape(d, -1).T
+
+
+def standard_container(name: str, d: int, tol: Tolerance = DEFAULT_TOL) -> Container:
+    """The generated body of each name in ``CONTAINERS``, the one map from
+    names to bodies: the Euclidean ball; the box [-1, 1]^d and the
+    cross-polytope, both in dual representation; the regular simplex T
+    (``simplex_vertices`` x_i, normals -x_i) and -T in dual
+    representation; and the cap T ∩ (-T) of ``simplex_cap_neg``, which
+    enumerates its vertices with ``tol``."""
     if name == "ball":
         return Container.ball(d)
-    if name == "box":
-        normals = np.vstack([np.eye(d), -np.eye(d)])
-        corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * d), indexing="ij")).reshape(d, -1).T
-        return Container.dual_rep(normals, corners)
-    if name == "cross":
-        signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * d), indexing="ij")).reshape(d, -1).T
-        vertices = np.vstack([np.eye(d), -np.eye(d)])
-        return Container.dual_rep(signs, vertices)
-    raise ValueError(f"unknown container family {name!r}")
+    if name in ("box", "cross"):
+        signs, axes = _corners(d), np.vstack([np.eye(d), -np.eye(d)])
+        return Container.dual_rep(axes, signs) if name == "box" else Container.dual_rep(signs, axes)
+    if name in ("simplex", "neg-simplex"):
+        X = simplex_vertices(d)
+        return Container.dual_rep(-X, X) if name == "simplex" else Container.dual_rep(X, -X)
+    if name == "cap":
+        return simplex_cap_neg(d, tol)
+    raise ValueError(f"unknown container {name!r}; known: {', '.join(CONTAINERS)}")
 
 
 def box_ambiguity_instance(d: int, tau: float) -> PointSet:

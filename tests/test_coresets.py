@@ -1,3 +1,5 @@
+import io
+import json
 from dataclasses import replace
 from itertools import product
 
@@ -200,6 +202,32 @@ class TestOptimalSize:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             optimal_coreset_size(random_pointset(5, 2, seed=1), Container.ball(2), -0.1)
+
+    @pytest.mark.parametrize("form", ["ball", "box", "box-H", "box-V"])
+    def test_zero_radius_needs_one_point(self, form):
+        # R(P) = 0 = R_0: one point is a zero-core-set, as the zero-core-set
+        # extraction and the validator agree, never two points of n = 1
+        box = standard_container("box", 3)
+        C = {
+            "ball": Container.ball(3),
+            "box": box,
+            "box-H": Container.from_normals(box.normals),
+            "box-V": Container.from_vertices(box.vertices),
+        }[form]
+        for copies in (1, 3):
+            P = PointSet([[0.3, 0.4, 0.5]] * copies)
+            assert extract_zero_coreset(P, C).indices == (0,)
+            assert validate_coreset(P, C, [0], 0.0)
+            for eps in (0.0, 0.1):
+                assert optimal_coreset_size(P, C, eps) == 1
+
+    def test_zero_radius_cli_exact_size(self, capsys, monkeypatch):
+        from homothetics.cli import main
+
+        instance = json.dumps({"points": [[0.3, 0.4, 0.5]] * 3})
+        monkeypatch.setattr("sys.stdin", io.StringIO(instance))
+        assert main(["coreset", "--eps", "0.1", "--exact", "--container", "box"]) == 0
+        assert json.loads(capsys.readouterr().out)["size"] == 1
 
 
 class TestValidate:

@@ -121,3 +121,38 @@ def test_budget_surfaces_as_failing_row():
     assert not rows[0].passed
     assert "budget" not in rows[0].instance  # label preserved
     assert "too many subsets" in rows[0].param
+
+
+def test_catalog_validates_only_the_bodies_it_uses(monkeypatch):
+    # every body is built from the name table and validated once; no -T is
+    # a reflected T and no cap an enumerated H body, so a default pass
+    # validates at most 115 containers, and two passes do the same work
+    import sys
+
+    from homothetics import geometry, instances
+
+    counts = {"validate": 0, "reflect": 0, "vertex_enumeration": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(geometry, "_validate_container", counting("validate", geometry._validate_container))
+    for key, fn in (("reflect", geometry.reflect), ("vertex_enumeration", instances.vertex_enumeration)):
+        wrapped = counting(key, fn)
+        for name, module in list(sys.modules.items()):
+            if name == "homothetics" or name.startswith("homothetics."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapped)
+    passes = []
+    for _ in range(2):
+        counts.update(validate=0, reflect=0, vertex_enumeration=0)
+        run_all()
+        passes.append(dict(counts))
+    assert passes[0] == passes[1]
+    assert passes[0]["validate"] <= 115
+    assert passes[0]["reflect"] == passes[0]["vertex_enumeration"] == 0

@@ -102,6 +102,38 @@ class TestPrism:
 
 
 class TestStandardContainers:
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_built_as_their_sources_bit_for_bit(self, d):
+        # -T is the reflected simplex and the cap the vertex enumeration of
+        # the H body with normals ±x_i, without building either source
+        def bits(C):
+            return C.kind, [None if a is None else (a.shape, a.tobytes()) for a in (C.normals, C.vertices)]
+
+        X = simplex_vertices(d)
+        assert bits(standard_container("neg-simplex", d)) == bits(reflect(regular_simplex(d)[1]))
+        cap = vertex_enumeration(Container.from_normals(np.vstack([-X, X])))
+        assert bits(standard_container("cap", d)) == bits(cap)
+
+    @pytest.mark.parametrize(
+        "name, dims",
+        [
+            ("box", range(2, 6)),
+            ("cross", range(2, 6)),
+            ("simplex", range(2, 9)),
+            ("neg-simplex", range(2, 9)),
+            ("cap", range(2, 8)),
+            ("prism", [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)]),
+        ],
+    )
+    def test_dual_bodies_list_every_vertex(self, name, dims):
+        # dual_rep checks only that each vertex lies on the body's boundary;
+        # the library's own dual bodies carry all the vertices of their
+        # normals' polytope
+        for d in dims:
+            C = symmetric_counterexample(*d) if name == "prism" else standard_container(name, d)
+            assert C.kind.value == "dual"
+            assert _same_point_set(C.vertices, _polar_vertices(C.normals), 1e-9), (name, d)
+
     def test_box_counts(self):
         C = standard_container("box", 2)
         assert len(C.normals) == 4 and len(C.vertices) == 4
