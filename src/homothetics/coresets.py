@@ -55,11 +55,15 @@ class CoreSet:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
 
 
-def _coverage_eps(gauges: np.ndarray, radius: float, tol: Tolerance) -> float:
-    """Smallest eps with every gauge at most (1+eps) * radius."""
+def _coverage_eps(gauges: np.ndarray, radius: float, center, C: Container) -> float:
+    """Smallest eps with every gauge at most (1+eps) * radius.  A radius
+    within the gauge round-off about the center (``containment._roundoff``)
+    is zero: eps is 0 when every gauge is within that round-off too, and
+    inf otherwise."""
     worst = float(np.max(gauges))
-    if radius <= 0:
-        return 0.0 if worst <= tol.feas else np.inf
+    zero = _roundoff(center, C)
+    if radius <= zero:
+        return 0.0 if worst <= zero else np.inf
     return max(0.0, worst / radius - 1.0)
 
 
@@ -88,7 +92,7 @@ def greedy_coreset(
 
     start = sorted({p0, p1})  # [0] when all points coincide
     rho, center, _, S, gauges = _rounds(pts, np.zeros(len(P)), C, start, solve, eps, tol)
-    return CoreSet(tuple(S), rho, center, _coverage_eps(gauges, rho, tol), True)
+    return CoreSet(tuple(S), rho, center, _coverage_eps(gauges, rho, center, C), True)
 
 
 def extract_zero_coreset(P: PointSet, C: Container, tol: Tolerance = DEFAULT_TOL) -> CoreSet:
@@ -143,16 +147,18 @@ def validate_coreset(
     centers of S for one covering P at (1+eps) R(S); ``fixed_center``
     instead commits to the solver's center for S, reproducing the failure
     mode of ambiguous centers.  The core-set inequality allows tol.eq
-    relative to R(P), and coverage the gauge slack of ``containment``,
-    tol.feas relative to (1+eps) R(S), so the answer is free of the data's
-    scale.
+    relative to R(P), or the gauge round-off about P's center
+    (``containment._roundoff``) when that is larger, as at a zero radius;
+    coverage allows the gauge slack of ``containment``, tol.feas relative
+    to (1+eps) R(S).  So the answer is free of the data's scale.
     """
     idx = sorted(int(i) for i in indices)
     if not idx or not set(idx) <= set(range(len(P))):
         raise ValueError("core-set indices must be a nonempty subset of P")
     sub = min_containment(P.subset(idx), C, tol)
-    full = min_containment(P, C, tol).rho
-    if full > (1.0 + eps) * sub.rho + tol.eq * full:
+    sol = min_containment(P, C, tol)
+    full = sol.rho
+    if full > (1.0 + eps) * sub.rho + max(tol.eq * full, _roundoff(sol.center, C)):
         return False
     if not require_center_conform:
         return True

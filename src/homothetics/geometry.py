@@ -50,6 +50,16 @@ class ContainerKind(str, Enum):
     BALL = "ball"
 
 
+# The arrays each kind carries: the one rule that construction and
+# validation read.
+_ARRAYS = {
+    ContainerKind.BALL: (),
+    ContainerKind.HPOLY: ("normals",),
+    ContainerKind.VPOLY: ("vertices",),
+    ContainerKind.DUAL: ("normals", "vertices"),
+}
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numeric slack policy shared by all solvers.
@@ -127,13 +137,21 @@ class Container:
     normals   (m, d) outer normals of {x : a_k.x <= 1}, or None
     vertices  (mv, d) extreme points, or None
 
-    BALL carries neither array.  DUAL carries both, and construction
-    checks that every vertex lies in all the half-spaces and on at least
-    one of them.  That does not prove the vertices are all of the body's:
-    a subset of them passes, and then ``support`` and the other readers
-    of the vertices see a smaller body than the normals bound.  That
-    matters only for external "dual" input: the generated dual bodies
-    (``instances.standard_container``, the prisms) list every vertex.
+    Which arrays a kind carries is one table (``_ARRAYS``): BALL none,
+    HPOLY normals, VPOLY vertices, DUAL both.  Construction checks each
+    array against it (a missing or an extra array raises
+    ``InvalidContainer``), makes it a read-only float array of width dim
+    (``DimensionMismatch``) with finite entries (``ValueError``), and
+    proves that it positively spans R^dim (``_positively_spans``): the
+    normals bound the body, and the origin lies strictly inside the hull
+    of the vertices.  Fewer than dim + 1 rows fail that test.  For DUAL,
+    construction also checks that every vertex lies in all the
+    half-spaces and on at least one of them.  That does not prove the
+    vertices are all of the body's: a subset of them passes, and then
+    ``support`` and the other readers of the vertices see a smaller body
+    than the normals bound.  That matters only for external "dual"
+    input: the generated dual bodies (``instances.standard_container``,
+    the prisms) list every vertex.
     Half-space data with offsets other than one must be rescaled before
     construction (`from_halfspaces`).
 
@@ -163,38 +181,20 @@ class Container:
             raise InvalidContainer(f"dim must be >= 1, got {self.dim}")
         kind = ContainerKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        normals, vertices = self.normals, self.vertices
-        if kind is ContainerKind.BALL:
-            if normals is not None or vertices is not None:
-                raise InvalidContainer("ball containers carry no normals/vertices")
-            return
-        if kind in (ContainerKind.HPOLY, ContainerKind.DUAL):
-            if normals is None:
-                raise InvalidContainer(f"{kind.value} container needs normals")
-        if kind in (ContainerKind.VPOLY, ContainerKind.DUAL):
-            if vertices is None:
-                raise InvalidContainer(f"{kind.value} container needs vertices")
-        if normals is not None:
-            normals = np.atleast_2d(np.asarray(normals, dtype=float))
-            if normals.shape[1] != self.dim:
-                raise DimensionMismatch(
-                    f"normals have dim {normals.shape[1]}, container dim {self.dim}"
-                )
-            _check_finite(normals, "normals")
-            object.__setattr__(self, "normals", _freeze(normals))
-        if vertices is not None:
-            vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
-            if vertices.shape[1] != self.dim:
-                raise DimensionMismatch(
-                    f"vertices have dim {vertices.shape[1]}, container dim {self.dim}"
-                )
-            _check_finite(vertices, "vertices")
-            object.__setattr__(self, "vertices", _freeze(vertices))
-        if kind is ContainerKind.VPOLY and normals is not None:
-            raise InvalidContainer("vpoly container must not carry normals")
-        if kind is ContainerKind.HPOLY and vertices is not None:
-            raise InvalidContainer("hpoly container must not carry vertices")
-        _validate_container(self)
+        for name in ("normals", "vertices"):
+            a = getattr(self, name)
+            if (a is not None) != (name in _ARRAYS[kind]):
+                need = "must not carry" if a is not None else "needs"
+                raise InvalidContainer(f"{kind.value} container {need} {name}")
+            if a is None:
+                continue
+            a = np.atleast_2d(np.asarray(a, dtype=float))
+            if a.shape[1] != self.dim:
+                raise DimensionMismatch(f"{name} have dim {a.shape[1]}, container dim {self.dim}")
+            _check_finite(a, name)
+            object.__setattr__(self, name, _freeze(a))
+        if _ARRAYS[kind]:
+            _validate_container(self)
 
     # -- constructors ---------------------------------------------------
 
@@ -334,6 +334,12 @@ def _positively_spans(generators: np.ndarray, tol: Tolerance) -> bool:
     tol.pivot.  The gauge is one column program of d rows
     (``_gauge_vpoly``), so the test costs little even for thousands of
     generators.
+
+    It also rejects every set of at most d generators, so callers need no
+    count check: fewer than d rows have rank below d, and d rows of rank
+    d are a basis, in which -sum(g_i) has the unique coordinates -1; it
+    lies outside their cone, the gauge program is infeasible (V = inf),
+    and the test fails.
     """
     g = np.asarray(generators, dtype=float)
     m, d = g.shape
@@ -344,20 +350,10 @@ def _positively_spans(generators: np.ndarray, tol: Tolerance) -> bool:
 
 def _validate_container(c: Container) -> None:
     tol = DEFAULT_TOL
-    if c.kind in (ContainerKind.HPOLY, ContainerKind.DUAL):
-        if len(c.normals) < c.dim + 1:
-            raise InvalidContainer(
-                f"{len(c.normals)} normals cannot bound a {c.dim}-dimensional body"
-            )
-        if not _positively_spans(c.normals, tol):
-            raise InvalidContainer("normals do not positively span: body unbounded")
-    if c.kind in (ContainerKind.VPOLY, ContainerKind.DUAL):
-        if len(c.vertices) < c.dim + 1:
-            raise InvalidContainer(
-                f"{len(c.vertices)} vertices cannot span a {c.dim}-dimensional body"
-            )
-        if not _positively_spans(c.vertices, tol):
-            raise InvalidContainer("origin not strictly inside hull of vertices")
+    for name in _ARRAYS[c.kind]:
+        if not _positively_spans(getattr(c, name), tol):
+            what = "body unbounded" if name == "normals" else "origin not strictly inside hull"
+            raise InvalidContainer(f"{name} do not positively span: {what}")
     if c.kind is ContainerKind.DUAL:
         dots = c.vertices @ c.normals.T
         if np.max(dots) > 1.0 + 10 * tol.eq:

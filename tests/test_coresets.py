@@ -160,6 +160,19 @@ class TestZeroCoreset:
         assert worst <= z.radius * (1.0 + 1e-9)
 
 
+_ZERO_RADIUS_FORMS = ["ball", "box", "box-H", "box-V"]
+
+
+def _body(form):
+    box = standard_container("box", 3)
+    return {
+        "ball": Container.ball(3),
+        "box": box,
+        "box-H": Container.from_normals(box.normals),
+        "box-V": Container.from_vertices(box.vertices),
+    }[form]
+
+
 class TestOptimalSize:
     def test_neg_simplex_examples(self):
         P, T = regular_simplex(3)
@@ -203,17 +216,11 @@ class TestOptimalSize:
         with pytest.raises(ValueError):
             optimal_coreset_size(random_pointset(5, 2, seed=1), Container.ball(2), -0.1)
 
-    @pytest.mark.parametrize("form", ["ball", "box", "box-H", "box-V"])
+    @pytest.mark.parametrize("form", _ZERO_RADIUS_FORMS)
     def test_zero_radius_needs_one_point(self, form):
         # R(P) = 0 = R_0: one point is a zero-core-set, as the zero-core-set
         # extraction and the validator agree, never two points of n = 1
-        box = standard_container("box", 3)
-        C = {
-            "ball": Container.ball(3),
-            "box": box,
-            "box-H": Container.from_normals(box.normals),
-            "box-V": Container.from_vertices(box.vertices),
-        }[form]
+        C = _body(form)
         for copies in (1, 3):
             P = PointSet([[0.3, 0.4, 0.5]] * copies)
             assert extract_zero_coreset(P, C).indices == (0,)
@@ -391,3 +398,28 @@ class TestScaleFree:
     def test_center_conformity_bound(self, scale):
         P = random_pointset(30, 3, seed=3).scale(scale)
         assert not center_conformity_bound_check(P, [0, 1], 0.0)
+
+
+class TestRoundOffRadius:
+    """P = [p, p one ulp up, p]: R(P) is round-off (about 6e-17 at scale
+    one), below the gauge round-off about its center, so every routine
+    reads it as zero, at every scale."""
+
+    @staticmethod
+    def _points(scale):
+        p = np.array([0.3, 0.4, 0.5])
+        return PointSet(np.array([p, np.nextafter(p, 1.0), p]) * scale)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e6, 1e12])
+    @pytest.mark.parametrize("form", _ZERO_RADIUS_FORMS)
+    def test_validator_accepts_one_point(self, form, scale):
+        P, C = self._points(scale), _body(form)
+        assert optimal_coreset_size(P, C, 0.1) == 1
+        assert validate_coreset(P, C, [0], 0.0)
+        assert validate_coreset(P, C, [0], 0.0, require_center_conform=True)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e6, 1e12])
+    @pytest.mark.parametrize("form", _ZERO_RADIUS_FORMS)
+    def test_greedy_reports_zero_eps(self, form, scale):
+        cs = greedy_coreset(self._points(scale), _body(form), eps=0.1)
+        assert cs.eps_achieved == 0.0

@@ -23,6 +23,7 @@ from homothetics import (
 )
 from homothetics.geometry import _gauge_vpoly, _positively_spans, _same_point_set
 from homothetics.instances import (
+    CONTAINERS,
     regular_simplex,
     simplex_cap_neg,
     simplex_vertices,
@@ -152,6 +153,65 @@ class TestContainerValidation:
         C = symmetric_counterexample(10, 2)
         assert C.vertices.shape == (1536, 10)
         assert (10, 1536) in shapes and max(r for r, _ in shapes) == 10
+
+
+class TestConstructionContract:
+    """One table says which arrays each kind carries; construction checks
+    each array against it, then its width, its entries and its span."""
+
+    _ARRAYS = {
+        "ball": (),
+        "hpoly": ("normals",),
+        "vpoly": ("vertices",),
+        "dual": ("normals", "vertices"),
+    }
+
+    @pytest.mark.parametrize("kind", list(_ARRAYS))
+    def test_missing_or_extra_array_rejected(self, kind):
+        box = box2()
+        given = {"normals": box.normals, "vertices": box.vertices}
+        carried = {name: given[name] for name in self._ARRAYS[kind]}
+        assert Container(2, kind, **carried).kind.value == kind
+        for name in carried:
+            with pytest.raises(InvalidContainer):
+                Container(2, kind, **{k: a for k, a in carried.items() if k != name})
+        for name in set(given) - set(carried):
+            with pytest.raises(InvalidContainer):
+                Container(2, kind, **carried, **{name: given[name]})
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_at_most_d_rows_rejected(self, d, scale):
+        # the span test alone rejects d rows (a basis) and fewer
+        rng = np.random.default_rng(d)
+        for rows in (np.eye(d), -simplex_vertices(d)[:d], rng.normal(size=(d, d))):
+            for k in {d, d - 1} - {0}:
+                with pytest.raises(InvalidContainer):
+                    Container.from_normals(scale * rows[:k])
+                with pytest.raises(InvalidContainer):
+                    Container.from_vertices(scale * rows[:k])
+
+    @pytest.mark.parametrize("kind", ["hpoly", "vpoly", "dual"])
+    def test_width_and_entries_checked(self, kind):
+        box = box2()
+        arrays = {name: getattr(box, name) for name in self._ARRAYS[kind]}
+        for name, a in arrays.items():
+            with pytest.raises(DimensionMismatch):
+                Container(2, kind, **{**arrays, name: np.hstack([a, a])})
+            bad = a.copy()
+            bad[0, 0] = np.nan
+            with pytest.raises(ValueError) as raised:
+                Container(2, kind, **{**arrays, name: bad})
+            assert raised.type is ValueError
+
+    @pytest.mark.parametrize("name", CONTAINERS)
+    def test_standard_bodies_and_reflections_construct(self, name):
+        for d in range(2, 6):
+            for C in (standard_container(name, d), reflect(standard_container(name, d))):
+                again = Container(C.dim, C.kind, C.normals, C.vertices)
+                assert again.kind is C.kind
+                for a, b in ((C.normals, again.normals), (C.vertices, again.vertices)):
+                    assert (a is None and b is None) or np.array_equal(a, b)
 
 
 class TestGauge:
