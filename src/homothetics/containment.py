@@ -51,6 +51,7 @@ from .geometry import (
     Tolerance,
     _facet_rows,
     _gauges,
+    _row_norms,
 )
 from .lp import HullResult, LinearProgram, LpError, LpStatus, in_convex_hull, solve_lp
 from .meb import minimum_enclosing_ball
@@ -325,17 +326,21 @@ def make_certificate(
 ) -> Certificate:
     """Certify optimality of (rho, center) or raise ``NotOptimalError``.
 
-    Touching points and their supporting normals are collected per
-    container kind by ``_supporting_pairs`` (active half-spaces; unit
-    point directions for the ball; the duals of the vertex program on
-    the touching points alone, which raises "separated" when they fit a
-    smaller dilate).  Convex weights placing the origin in the normals'
-    hull are then found by ``_balance``: first the normals
-    of the solution's own dual support alone (active facets at points of
-    positive weight; the ball's support), whose weights least squares
-    gives with no LP; where those do not balance, one hull test over
-    every touching normal.  Its separator, raised as "separated", holds
-    for all of them.  The weights are merged per point, at most d+1 of
+    Every gauge about the center is computed here, in one pass over P,
+    so that any candidate is checked, not only the solver's.  Touching
+    points and their supporting normals are collected per container kind
+    by ``_supporting_pairs`` (active half-spaces; unit point directions
+    for the ball; the duals of the vertex program on the touching points
+    alone, which raises "separated" when they fit a smaller dilate).
+    Convex weights placing the origin in the normals' hull are then found
+    by ``_balance``: first the normals of the solution's own dual support
+    alone (active facets at points of positive weight; the ball's
+    support), whose weights least squares gives with no LP; where those
+    do not balance, one hull test over every touching normal.  Its
+    separator, raised as "separated", holds for all of them.  The ball
+    forms only its support's normals first, (p - c) / g from the gauges
+    above, and every touching normal only when the support is empty or
+    does not balance.  The weights are merged per point, at most d+1 of
     them, and the certificate is checked before it is returned.
     Slacks are relative to rho (``_slack``), so the test is free of the
     data's scale; when rho is so small next to the center's coordinates
@@ -363,14 +368,18 @@ def make_certificate(
     if touching.size == 0:
         raise NotOptimalError("slack", np.zeros(d), f"max gauge {gauges[worst]:.9g} < rho {rho:.9g}")
 
-    idx, normals, seed = _supporting_pairs(P, C, sol, touching, slack, tol)
-    work, hull = _balance(normals, seed, tol)
+    if C.kind is ContainerKind.BALL:
+        support = touching[sol.duals[touching] > 0]
+        seed = support, (P.points[support] - center) / gauges[support, None]
+        every = lambda: _supporting_pairs(P, C, sol, touching, slack, tol)[:2]
+    else:
+        idx, normals, mask = _supporting_pairs(P, C, sol, touching, slack, tol)
+        seed, every = (idx[mask], normals[mask]), lambda: (idx, normals)
+    (idx, normals), hull = _balance(seed, every, tol)
     if not hull.contains:
         raise NotOptimalError("separated", hull.separator, "origin outside touching normals")
     keep = hull.coefficients > 1e-12
-    points, lam, point_normals = _merge_per_point(
-        idx[work][keep], normals[work][keep], hull.coefficients[keep]
-    )
+    points, lam, point_normals = _merge_per_point(idx[keep], normals[keep], hull.coefficients[keep])
     if len(points) < 2:
         raise LpError("certificate degenerated to a single normal")
     cert = Certificate(P.points[points], tuple(int(i) for i in points), point_normals, lam)
@@ -393,29 +402,31 @@ def _merge_per_point(idx: np.ndarray, normals: np.ndarray, w: np.ndarray):
     return points, weight / weight.sum(), (M @ normals) / weight[:, None]
 
 
-def _balance(normals: np.ndarray, seed: np.ndarray, tol: Tolerance):
+def _balance(seed, every, tol: Tolerance):
     """Test of 0 in conv(normals), on the normals divided by their
     largest entry, so that it is free of the container's scale.
 
-    Least squares on [N_S^T; 1] w = e_{d+1} over the rows S where
-    ``seed`` is true gives the weights of an optimal solution's own
-    support directly: when w >= 0 and the residual is at most tol.feas,
-    they are the result, with no LP.  Otherwise one hull test runs over
-    every row; by LP duality its separator y, when it fails, has
-    a.y <= -1 for every row a (scaled back to the given normals).
-    Returns (rows, ``HullResult`` on those rows).
+    ``seed`` is the (point index, normal) arrays of an optimal solution's
+    own support.  Least squares on [N_S^T; 1] w = e_{d+1} over its
+    normals gives their weights directly: when the seed is not empty,
+    w >= 0 and the residual is at most tol.feas, they are the result,
+    with no LP.  Otherwise ``every()`` forms the arrays of every touching
+    pair, and one hull test runs over all of them; by LP duality its
+    separator y, when it fails, has a.y <= -1 for every normal a (scaled
+    back to the given normals).  Returns ((indices, normals), ``HullResult``
+    on those rows).
     """
-    top = float(np.abs(normals).max())
-    N = normals / top
-    work = np.flatnonzero(seed)
-    if work.size:
-        M, e = _facet_rows(N[work])
+    normals = seed[1]
+    if len(normals):
+        M, e = _facet_rows(normals / float(np.abs(normals).max()))
         w = np.linalg.lstsq(M, e, rcond=None)[0]
         if w.min() >= 0.0 and np.abs(M @ w - e).max() <= tol.feas:
-            return work, HullResult(True, w, None)
-    hull = in_convex_hull(N, np.zeros(N.shape[1]), tol)
+            return seed, HullResult(True, w, None)
+    idx, normals = every()
+    top = float(np.abs(normals).max())
+    hull = in_convex_hull(normals / top, np.zeros(normals.shape[1]), tol)
     y = None if hull.contains else hull.separator / top
-    return np.arange(len(N)), hull._replace(separator=y)
+    return (idx, normals), hull._replace(separator=y)
 
 
 def _supporting_pairs(P, C, sol, touching, slack, tol):
@@ -424,7 +435,10 @@ def _supporting_pairs(P, C, sol, touching, slack, tol):
     solution's dual support (positive point weight, and an active facet
     where the solution names them).  A facet supports a touching point
     when its gauge there is within ``slack`` of rho, the slack that found
-    the touching points.
+    the touching points.  The ball's normal at p is (p - c) / |p - c|,
+    normed by ``geometry._row_norms``; ``make_certificate`` asks for the
+    ball's pairs only when its support's normals do not balance, so that
+    on a co-spherical set the |touching| normals are never formed.
 
     A vertex-only body solves the vertex program on the touching points
     alone, (t, c, lam, Y) in |touching| (d+1) rows.  When t < rho - slack
@@ -438,7 +452,7 @@ def _supporting_pairs(P, C, sol, touching, slack, tol):
     rho, center = sol.rho, sol.center
     if C.kind is ContainerKind.BALL:
         U = P.points[touching] - center
-        normals = U / np.linalg.norm(U, axis=1)[:, None]
+        normals = U / _row_norms(U)[:, None]
         return touching, normals, sol.duals[touching] > 0
     if C.facets is not None:
         A = C.facets

@@ -381,13 +381,21 @@ def gauge(container: Container, x, tol: Tolerance = DEFAULT_TOL) -> float:
 
 
 def _gauges(C: Container, X: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Gauge of every row of X: vectorised for the ball and for facets,
-    one ``_gauge_vpoly`` program per row for vertex-only bodies."""
+    """Gauge of every row of X: vectorised for the ball (``_row_norms``)
+    and for facets, one ``_gauge_vpoly`` program per row for vertex-only
+    bodies."""
     if C.kind is ContainerKind.BALL:
-        return np.linalg.norm(X, axis=1)
+        return _row_norms(X)
     if C.facets is not None:
         return np.clip((C.facets @ X.T).max(axis=0), 0.0, None)
     return np.array([_gauge_vpoly(C.vertices, x, tol) for x in X])
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of X in one fused pass, where
+    ``np.linalg.norm(X, axis=1)`` squares X into a temporary before it
+    sums."""
+    return np.sqrt(np.einsum("ij,ij->i", X, X))
 
 
 def _gauge_vpoly(vertices: np.ndarray, x: np.ndarray, tol: Tolerance) -> float:

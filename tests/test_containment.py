@@ -18,6 +18,7 @@ from homothetics import (
 from homothetics import containment
 from homothetics.containment import (
     NotOptimalError,
+    _balance,
     _merge_per_point,
     _polytope_program,
     _slack,
@@ -894,6 +895,36 @@ class TestBallPath:
         assert np.max(np.abs(cert.lam @ cert.normals)) <= 1e-9
         U = (cert.touch_points - sol.center) / sol.rho
         assert np.allclose(np.einsum("ij,ij->i", cert.normals, U), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1_000, 10_000])
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_certificate_equals_the_full_touching_set_result(self, d, n, monkeypatch):
+        # every point of a co-spherical set touches; the certificate forms
+        # only its support's normals, and the reference balances the same
+        # seed taken from every touching normal
+        P = random_pointset(n, d, seed=d, distribution="sphere")
+        C = Container.ball(d)
+        sol = min_containment(P, C)
+        calls = TestDirectCertificates._counting(monkeypatch)
+        cert = make_certificate(P, C, sol)
+        assert calls == []
+        dist = np.linalg.norm(P.points - sol.center, axis=1)
+        slack = 10 * _slack(sol.rho, sol.center, C, DEFAULT_TOL)
+        touching = np.flatnonzero(dist >= sol.rho - slack)
+        assert touching.size > 2 * (d + 1)
+        U = (P.points[touching] - sol.center) / dist[touching, None]
+        seed = sol.duals[touching] > 0
+        (idx, normals), hull = _balance(
+            (touching[seed], U[seed]), lambda: (touching, U), DEFAULT_TOL
+        )
+        keep = hull.coefficients > 1e-12
+        points, lam, ref_normals = _merge_per_point(
+            idx[keep], normals[keep], hull.coefficients[keep]
+        )
+        assert calls == []
+        assert cert.point_indices == tuple(points.tolist())
+        assert np.max(np.abs(cert.lam - lam)) <= 1e-12
+        assert np.max(np.abs(cert.normals - ref_normals)) <= 1e-12
 
     def test_separator_holds_for_every_touching_normal(self):
         # 400 points on a 3-d spherical cap about c: all touch the sphere

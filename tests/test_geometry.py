@@ -21,7 +21,7 @@ from homothetics import (
     reflect,
     support,
 )
-from homothetics.geometry import _gauge_vpoly, _positively_spans, _same_point_set
+from homothetics.geometry import _gauge_vpoly, _gauges, _positively_spans, _same_point_set
 from homothetics.instances import (
     CONTAINERS,
     regular_simplex,
@@ -271,6 +271,30 @@ class TestGauge:
         ref = scipy_opt.linprog(np.ones(len(V)), A_eq=V.T, b_eq=x, method="highs")
         assert gauge(C, x) == pytest.approx(ref.fun, rel=1e-9)
         assert gauge(C, s * x) == pytest.approx(s * gauge(C, x), rel=1e-9)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.integers(0, 64),
+        st.floats(-9.0, 9.0),
+        st.floats(-3.0, 6.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(3, 0, 0.0, 0.0, 0)
+    @example(8, 64, 9.0, 6.0, 1)
+    @example(1, 5, -9.0, -3.0, 2)
+    def test_ball_gauges_are_the_row_norms(self, d, n, log_scale, log_shift, seed):
+        # the fused row-norm kernel against np.linalg.norm, on points of
+        # scale s about a center translated by 10**log_shift * s
+        rng = np.random.default_rng(seed)
+        s = 10.0**log_scale
+        center = 10.0**log_shift * s * rng.standard_normal(d)
+        P = PointSet(s * rng.standard_normal((n + 1, d)) + center)
+        X = P.points[1:] - center
+        g = _gauges(Container.ball(d), X, DEFAULT_TOL)
+        ref = np.linalg.norm(X, axis=1)
+        assert g.shape == (n,)
+        assert np.all(np.abs(g - ref) <= 4 * np.finfo(float).eps * ref)
 
     def test_polar_program_unbounded_outside_the_cone(self):
         assert _gauge_vpoly(np.eye(2), np.array([-1.0, 0.5]), DEFAULT_TOL) == np.inf
