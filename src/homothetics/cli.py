@@ -4,10 +4,16 @@ Subcommands: solve, radii, coreset, asym, gen, verify.  Instances travel
 as JSON ({"pointset": {...}, "container": {...}} or a bare pointset plus
 --container); results print to stdout as JSON or CSV.  Exit codes:
 0 success / all checks passed, 1 verification failure, 2 usage or input
-error, 3 solver failure (an LP or enclosing-ball solve that could not
-certify its answer, an exhausted subset budget, or a rejected
-certificate).  Diagnostics for exit codes 2 and 3 go to stderr as a JSON
-object {"error": ...}.
+error (among them unreadable or malformed instance JSON, and arguments
+out of range, such as an unknown container name or a --k beyond the
+dimension, with the library's message), 3 solver failure (an LP or
+enclosing-ball solve that could not certify its answer, an exhausted
+subset budget, or a rejected certificate).  Diagnostics for exit codes 2
+and 3 go to stderr as a JSON object {"error": ...}.
+
+``main`` is the one command path: it reads the instance, builds the
+``Tolerance``, checks that the parts a command needs are present, emits
+the command's output dict and maps each failure to its exit code.
 """
 
 from __future__ import annotations
@@ -16,13 +22,13 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .containment import NotOptimalError, make_certificate, min_containment
 from .coresets import extract_zero_coreset, greedy_coreset, optimal_coreset_size
 from .experiments import CSV_HEADER, experiment_ids, run_experiment
 from .geometry import (
+    DEFAULT_TOL,
     Container,
+    PointSet,
     Tolerance,
     container_from_json,
     container_to_json,
@@ -37,16 +43,17 @@ class _CliError(Exception):
     pass
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(feas=args.tol_feas, pivot=args.tol_pivot, eq=args.tol_eq)
-
-
-def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, fn, needs_points: bool | None = None) -> None:
+    """Format and tolerance flags, and ``fn`` as the command.  An instance
+    command (``needs_points`` True or False) also reads ``--input`` and
+    ``--container``; ``main`` hands it the point set, which it needs when
+    ``needs_points`` is True, and the container."""
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--tol-feas", type=float, default=1e-7)
-    parser.add_argument("--tol-pivot", type=float, default=1e-9)
-    parser.add_argument("--tol-eq", type=float, default=1e-6)
-    if with_input:
+    parser.add_argument("--tol-feas", type=float, default=DEFAULT_TOL.feas)
+    parser.add_argument("--tol-pivot", type=float, default=DEFAULT_TOL.pivot)
+    parser.add_argument("--tol-eq", type=float, default=DEFAULT_TOL.eq)
+    parser.set_defaults(fn=fn, needs_points=needs_points)
+    if needs_points is not None:
         parser.add_argument(
             "--input", default="-", help="instance JSON file, or '-' for stdin (default)"
         )
@@ -58,46 +65,47 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
         )
 
 
-def _read_instance(args):
+def _load(path: str, what: str, convert):
+    """``convert`` applied to the JSON in ``path`` ('-' is stdin); an
+    unreadable file, invalid JSON or JSON of the wrong types is a
+    ``_CliError``."""
     try:
-        if args.input == "-":
-            raw = sys.stdin.read()
+        if path == "-":
+            obj = json.load(sys.stdin)
         else:
-            with open(args.input) as fh:
-                raw = fh.read()
-        obj = json.loads(raw)
+            with open(path) as fh:
+                obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise _CliError(f"cannot read instance: {exc}") from exc
-    pointset = None
-    container = None
-    if isinstance(obj, dict) and ("pointset" in obj or "container" in obj):
-        if "pointset" in obj:
-            pointset = pointset_from_json(obj["pointset"])
-        if "container" in obj:
-            container = container_from_json(obj["container"])
-    elif isinstance(obj, dict) and "points" in obj:
-        pointset = pointset_from_json(obj)
-    elif isinstance(obj, dict) and "kind" in obj:
-        container = container_from_json(obj)
-    else:
-        raise _CliError("instance JSON needs 'pointset', 'points', or 'kind'")
-    if args.container:
-        container = _named_container(args.container, pointset.dim if pointset else None)
-    return pointset, container
+        raise _CliError(f"cannot read {what}: {exc}") from exc
+    try:
+        return convert(obj)
+    except (TypeError, AttributeError) as exc:
+        raise _CliError(f"malformed {what}: {exc}") from exc
 
 
-def _named_container(spec: str, dim: int | None) -> Container:
-    if spec.startswith("@"):
-        try:
-            with open(spec[1:]) as fh:
-                return container_from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _CliError(f"cannot read container: {exc}") from exc
-    if dim is None:
+def _instance_from_json(obj) -> tuple[PointSet | None, Container | None]:
+    obj = obj if isinstance(obj, dict) else {}
+    if "pointset" not in obj and "container" not in obj:
+        if "points" in obj:
+            obj = {"pointset": obj}
+        elif "kind" in obj:
+            obj = {"container": obj}
+        else:
+            raise _CliError("instance JSON needs 'pointset', 'points', or 'kind'")
+    P = pointset_from_json(obj["pointset"]) if "pointset" in obj else None
+    C = container_from_json(obj["container"]) if "container" in obj else None
+    return P, C
+
+
+def _read_instance(args) -> tuple[PointSet | None, Container | None]:
+    P, C = _load(args.input, "instance", _instance_from_json)
+    if not args.container:
+        return P, C
+    if args.container.startswith("@"):
+        return P, _load(args.container[1:], "container", container_from_json)
+    if P is None:
         raise _CliError("named containers need a point set to infer the dimension")
-    if spec not in CONTAINERS:
-        raise _CliError(f"unknown container {spec!r}; use one of {', '.join(CONTAINERS)}")
-    return standard_container(spec, dim)
+    return P, standard_container(args.container, P.dim)
 
 
 def _emit(obj: dict, args) -> None:
@@ -109,11 +117,7 @@ def _emit(obj: dict, args) -> None:
         print(",".join(str(v) for v in flat.values()))
 
 
-def _cmd_solve(args) -> int:
-    tol = _tolerance(args)
-    P, C = _read_instance(args)
-    if P is None or C is None:
-        raise _CliError("solve needs both a point set and a container")
+def _cmd_solve(args, P, C, tol) -> dict:
     sol = min_containment(P, C, tol)
     out = {
         "rho": sol.rho,
@@ -130,76 +134,46 @@ def _cmd_solve(args) -> int:
             "normals": cert.normals.tolist(),
             "lambda": cert.lam.tolist(),
         }
-    _emit(out, args)
-    return 0
+    return out
 
 
-def _cmd_radii(args) -> int:
-    tol = _tolerance(args)
-    P, C = _read_instance(args)
-    if P is None or C is None:
-        raise _CliError("radii needs both a point set and a container")
-    if not 1 <= args.k <= P.dim:
-        raise _CliError(f"--k must be in [1, {P.dim}]")
+def _cmd_radii(args, P, C, tol) -> dict:
     res = core_radius(P, C, args.k, tol, args.budget)
-    _emit({"k": res.k, "value": res.value, "witness": list(res.witness)}, args)
-    return 0
+    return {"k": res.k, "value": res.value, "witness": list(res.witness)}
 
 
-def _cmd_coreset(args) -> int:
-    tol = _tolerance(args)
-    P, C = _read_instance(args)
-    if P is None or C is None:
-        raise _CliError("coreset needs both a point set and a container")
+def _cmd_coreset(args, P, C, tol) -> dict:
     if args.exact:
         size = optimal_coreset_size(P, C, args.eps, tol, args.budget)
-        _emit({"mode": "exact", "eps": args.eps, "size": size}, args)
-        return 0
-    if args.zero:
-        cs = extract_zero_coreset(P, C, tol)
-        mode = "zero"
-    else:
-        cs = greedy_coreset(P, C, args.eps, tol)
-        mode = "greedy"
-    _emit(
-        {
-            "mode": mode,
-            "eps": args.eps,
-            "indices": list(cs.indices),
-            "size": len(cs.indices),
-            "radius": cs.radius,
-            "center": cs.center.tolist(),
-            "eps_achieved": cs.eps_achieved,
-            "center_conform": cs.center_conform,
-        },
-        args,
-    )
-    return 0
+        return {"mode": "exact", "eps": args.eps, "size": size}
+    cs = extract_zero_coreset(P, C, tol) if args.zero else greedy_coreset(P, C, args.eps, tol)
+    return {
+        "mode": "zero" if args.zero else "greedy",
+        "eps": args.eps,
+        "indices": list(cs.indices),
+        "size": len(cs.indices),
+        "radius": cs.radius,
+        "center": cs.center.tolist(),
+        "eps_achieved": cs.eps_achieved,
+        "center_conform": cs.center_conform,
+    }
 
 
-def _cmd_asym(args) -> int:
-    tol = _tolerance(args)
-    _, C = _read_instance(args)
-    if C is None:
-        raise _CliError("asym needs a container")
-    _emit({"asymmetry": minkowski_asymmetry(C, tol)}, args)
-    return 0
+def _cmd_asym(args, P, C, tol) -> dict:
+    return {"asymmetry": minkowski_asymmetry(C, tol)}
 
 
 def _cmd_gen(args) -> int:
-    try:
-        spec = InstanceSpec(
-            family=args.family,
-            dim=args.dim,
-            k=args.k,
-            tau=args.tau,
-            n=args.n,
-            seed=args.seed,
-            distribution=args.distribution,
-        )
-        P, C = spec.build()
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    spec = InstanceSpec(
+        family=args.family,
+        dim=args.dim,
+        k=args.k,
+        tau=args.tau,
+        n=args.n,
+        seed=args.seed,
+        distribution=args.distribution,
+    )
+    P, C = spec.build()
     obj = {}
     if P is not None:
         obj["pointset"] = pointset_to_json(P)
@@ -209,8 +183,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    tol = _tolerance(args)
+def _cmd_verify(args, tol) -> int:
     ids = experiment_ids() if args.all else [args.experiment]
     if not args.all and args.experiment is None:
         raise _CliError("verify needs an experiment id or --all")
@@ -256,29 +229,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="minimal containment of a point set in a container")
-    _add_common(p)
+    _add_common(p, _cmd_solve, needs_points=True)
     p.add_argument("--certificate", action="store_true", help="attach an optimality certificate")
-    p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("radii", help="k-th core radius with witness")
-    _add_common(p)
+    _add_common(p, _cmd_radii, needs_points=True)
     p.add_argument("--k", type=int, required=True)
     _add_budget(p)
-    p.set_defaults(fn=_cmd_radii)
 
     p = sub.add_parser("coreset", help="construct or size core-sets")
-    _add_common(p)
+    _add_common(p, _cmd_coreset, needs_points=True)
     p.add_argument("--eps", type=float, required=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--greedy", action="store_true", help="farthest-point greedy (default)")
     mode.add_argument("--exact", action="store_true", help="exact minimum size via core radii")
     mode.add_argument("--zero", action="store_true", help="zero-core-set from the solver support")
     _add_budget(p)
-    p.set_defaults(fn=_cmd_coreset)
 
     p = sub.add_parser("asym", help="Minkowski asymmetry of a container")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_asym)
+    _add_common(p, _cmd_asym, needs_points=False)
 
     p = sub.add_parser("gen", help="emit instance JSON for a named family")
     p.add_argument("family", choices=FAMILIES)
@@ -292,23 +261,30 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("ball-uniform", "sphere", "gauss", "simplex-hull"),
         default="ball-uniform",
     )
-    p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("verify", help="run experiments; exit 0 iff all rows pass")
     p.add_argument("experiment", nargs="?", choices=experiment_ids(), default=None)
     p.add_argument("--all", action="store_true")
     p.add_argument("--out", default=None, help="append report to this file instead of stdout")
     p.add_argument("--random-instances", type=int, default=None)
-    _add_common(p, with_input=False)
-    p.set_defaults(fn=_cmd_verify)
+    _add_common(p, _cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if args.command == "gen":
+            return _cmd_gen(args)
+        tol = Tolerance(feas=args.tol_feas, pivot=args.tol_pivot, eq=args.tol_eq)
+        if args.needs_points is None:  # verify reads no instance and prints its own report
+            return args.fn(args, tol)
+        P, C = _read_instance(args)
+        if C is None or (args.needs_points and P is None):
+            parts = "both a point set and a container" if args.needs_points else "a container"
+            raise _CliError(f"{args.command} needs {parts}")
+        _emit(args.fn(args, P, C, tol), args)
+        return 0
     except _CliError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from homothetics import container_to_json
-from homothetics.cli import main
+from homothetics.cli import build_parser, main
+from homothetics.geometry import DEFAULT_TOL
 from homothetics.instances import standard_container
 from homothetics.lp import LpError
 
@@ -110,6 +112,64 @@ class TestSolve:
         )
         assert code == 2
         assert "error" in json.loads(err)
+
+
+PLANE_PAIR = '{"dim": 2, "points": [[0, 0], [1, 1]]}'
+
+
+def assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            '{"pointset": [[0, 0], [1, 1]]}',
+            '{"pointset": 5}',
+            '{"container": [1]}',
+            '{"points": {"a": 1}}',
+        ],
+    )
+    def test_malformed_instance_exit_2(self, capsys, monkeypatch, instance):
+        argv = ["solve", "--container", "ball"]
+        assert_usage_error(*run_cli(capsys, argv, stdin=instance, monkeypatch=monkeypatch))
+
+    def test_malformed_container_file_exit_2(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "box.json"
+        path.write_text('{"kind": "ball", "dim": [2]}')
+        result = run_cli(
+            capsys,
+            ["solve", "--container", f"@{path}"],
+            stdin=PLANE_PAIR,
+            monkeypatch=monkeypatch,
+        )
+        assert_usage_error(*result)
+        assert json.loads(result[2])["error"].startswith("malformed container: ")
+
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["solve", "--container", "torus"], PLANE_PAIR),
+            (["radii", "--k", "5", "--container", "ball"], PLANE_PAIR),
+            (["gen", "sym-prism", "--dim", "3"], None),
+            (["asym"], PLANE_PAIR),
+        ],
+    )
+    def test_library_checks_exit_2(self, capsys, monkeypatch, argv, stdin):
+        assert_usage_error(*run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch))
+
+
+def test_tolerance_defaults_are_default_tol():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    with_tol = {name for name, p in sub.choices.items() if p.get_default("tol_feas") is not None}
+    assert with_tol == {"solve", "radii", "coreset", "asym", "verify"}
+    for name in with_tol:
+        p = sub.choices[name]
+        defaults = (p.get_default("tol_feas"), p.get_default("tol_pivot"), p.get_default("tol_eq"))
+        assert defaults == (DEFAULT_TOL.feas, DEFAULT_TOL.pivot, DEFAULT_TOL.eq)
 
 
 class TestSolverFailure:
