@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .containment import NotOptimalError, make_certificate, min_containment
@@ -143,6 +144,8 @@ def _cmd_radii(args, P, C, tol) -> dict:
 
 
 def _cmd_coreset(args, P, C, tol) -> dict:
+    if not 0.0 <= args.eps < math.inf:  # --zero reads no eps, and JSON has no NaN
+        raise _CliError(f"--eps must be finite and nonnegative, got {args.eps}")
     if args.exact:
         size = optimal_coreset_size(P, C, args.eps, tol, args.budget)
         return {"mode": "exact", "eps": args.eps, "size": size}

@@ -67,6 +67,19 @@ def _coverage_eps(gauges: np.ndarray, radius: float, center, C: Container) -> fl
     return max(0.0, worst / radius - 1.0)
 
 
+def _check_eps(eps: float) -> None:
+    # written so that a NaN eps fails it too
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+
+
+def _covers(P: PointSet, C: Container, center, allowed: float, tol: Tolerance) -> bool:
+    """Whether ``center`` covers P at radius ``allowed``, within the gauge
+    slack of ``containment``, tol.feas relative to ``allowed``."""
+    worst = float(np.max(all_gauges(P, C, center, tol)))
+    return worst <= allowed + _slack(allowed, center, C, tol)
+
+
 def greedy_coreset(
     P: PointSet, C: Container, eps: float, tol: Tolerance = DEFAULT_TOL
 ) -> CoreSet:
@@ -80,7 +93,8 @@ def greedy_coreset(
     tol.feas relative to the radius, so the stop test is free of the
     data's scale.  The result is center-conform by construction.
     """
-    if eps <= 0:
+    _check_eps(eps)
+    if eps == 0:
         raise ValueError("greedy needs eps > 0; use extract_zero_coreset for eps = 0")
     pts = P.points
     p1 = int(np.argmax(all_gauges(P, C, pts[0], tol)))
@@ -120,8 +134,7 @@ def optimal_coreset_size(
     round-off about its center (``containment._roundoff``).  R_d(P) is
     R(P) itself, so k = d (size d+1) always qualifies and is not
     computed."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    _check_eps(eps)
     sol = min_containment(P, C, tol)
     full = sol.rho
     if full <= _roundoff(sol.center, C):
@@ -152,6 +165,7 @@ def validate_coreset(
     coverage allows the gauge slack of ``containment``, tol.feas relative
     to (1+eps) R(S).  So the answer is free of the data's scale.
     """
+    _check_eps(eps)
     idx = sorted(int(i) for i in indices)
     if not idx or not set(idx) <= set(range(len(P))):
         raise ValueError("core-set indices must be a nonempty subset of P")
@@ -162,11 +176,9 @@ def validate_coreset(
         return False
     if not require_center_conform:
         return True
-    allowed = (1.0 + eps) * sub.rho
     if fixed_center or C.kind is ContainerKind.BALL:
         # the Euclidean center is unique anyway
-        worst = float(np.max(all_gauges(P, C, sub.center, tol)))
-        return worst <= allowed + _slack(allowed, sub.center, C, tol)
+        return _covers(P, C, sub.center, (1.0 + eps) * sub.rho, tol)
     return _find_covering_center(P, C, idx, sub.rho, eps, tol) is not None
 
 
@@ -197,11 +209,8 @@ def center_conformity_bound_check(
     """Euclidean promotion of a plain eps-core-set: its unique ball center
     covers P at factor 1 + eps + sqrt(2 eps + eps^2) of R(S), within the
     gauge slack of ``containment``."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    _check_eps(eps)
     idx = sorted(int(i) for i in indices)
     C = Container.ball(P.dim)
     sub = min_containment(P.subset(idx), C, tol)
-    allowed = (1.0 + eps + np.sqrt(2.0 * eps + eps * eps)) * sub.rho
-    worst = float(np.max(all_gauges(P, C, sub.center, tol)))
-    return worst <= allowed + _slack(allowed, sub.center, C, tol)
+    return _covers(P, C, sub.center, (1.0 + eps + np.sqrt(2.0 * eps + eps * eps)) * sub.rho, tol)

@@ -140,13 +140,6 @@ def _random_sets(params, count, seed, d_hi, n_hi):
         yield f"random[{seed + 1 + t}] n={n} d={d}", random_pointset(n, d, seed=seed + 1 + t), rng
 
 
-def _containers(tol: Tolerance):
-    """(name, d) -> ``standard_container(name, d, tol)``, each built once.
-    Each experiment call makes its own, so no container outlives the call
-    and repeated calls do the same work."""
-    return cache(lambda name, d: standard_container(name, d, tol))
-
-
 # the catalog labels -T "negT"
 _LABEL = {"neg-simplex": "negT"}
 
@@ -154,8 +147,7 @@ _LABEL = {"neg-simplex": "negT"}
 # -- individual experiments ---------------------------------------------------
 
 
-def _exp_asymm(params, tol):
-    container = _containers(tol)
+def _exp_asymm(params, tol, container):
     dims = params.get("dims", range(2, 9))
     sym_dims = params.get("sym_dims", range(2, 6))
     rows = []
@@ -171,57 +163,56 @@ def _exp_asymm(params, tol):
     return rows
 
 
-def _exp_core_radii_neg_simplex(params, tol):
-    dims = params.get("dims", range(2, 7))
-    rows = []
-    for d in dims:
-        P, neg = PointSet(simplex_vertices(d)), standard_container("neg-simplex", d, tol)
-        for k in range(1, d + 1):
-            rows.append(
-                _value_row(f"T^{d}/-T^{d}", f"R_{k}", core_radius(P, neg, k, tol).value, k, tol.eq)
-            )
-    return rows
+def _lemma_cd(d, k):
+    # R_k(T, T ∩ -T) by Lemma CD: the (d+1)/2 staircase
+    return max((d + 1) / 2, float(k))
 
 
-def _exp_lemma_cd(params, tol):
-    dims = params.get("dims", range(2, 8))
-    rows = []
-    for d in dims:
-        P, C = PointSet(simplex_vertices(d)), standard_container("cap", d, tol)
-        for k in range(1, d + 1):
-            expect = (d + 1) / 2 if k <= (d + 1) / 2 else float(k)
-            rows.append(
-                _value_row(f"T^{d}/cap^{d}", f"R_{k}", core_radius(P, C, k, tol).value, expect, tol.eq)
-            )
-    return rows
+def _simplex_radii(name, label, dims, expected):
+    """The experiment checking R_k(T^d, C) = expected(d, k) for every k,
+    C the body ``name`` in R^d, labelled ``label``, over ``dims``."""
+
+    def run(params, tol, container):
+        rows = []
+        for d in params.get("dims", dims):
+            P, C = PointSet(simplex_vertices(d)), container(name, d)
+            for k in range(1, d + 1):
+                radius = core_radius(P, C, k, tol).value
+                rows.append(_value_row(f"T^{d}/{label}^{d}", f"R_{k}", radius, expected(d, k), tol.eq))
+        return rows
+
+    return run
+
+
+def _ratio_rows(label, P, C, pairs, bound, row, tol):
+    """One ``row`` per (k, l) of ``pairs``: R_k/R_l of P in C against
+    bound(k, l), from one ``core_radius`` call per order up to the
+    largest k."""
+    rk = {k: core_radius(P, C, k, tol).value for k in range(1, max(k for k, _ in pairs) + 1)}
+    return [row(label, f"R_{k}/R_{l}", rk[k] / rk[l], bound(k, l), tol.eq) for k, l in pairs]
+
+
+def _below(d):
+    # the order pairs l < k <= d
+    return [(k, l) for k in range(2, d + 1) for l in range(1, k)]
 
 
 def _henk_bound(k, l):
     return float(np.sqrt(k * (l + 1) / (l * (k + 1))))
 
 
-def _exp_henk(params, tol):
-    container = _containers(tol)
+def _exp_henk(params, tol, container):
     rows = []
     for d in params.get("dims", range(2, 7)):
+        pairs = [(k, l) for k in range(1, d + 1) for l in range(1, k + 1)]
         P = PointSet(simplex_vertices(d))
-        rk = {k: core_radius(P, container("ball", d), k, tol).value for k in range(1, d + 1)}
-        for k in range(1, d + 1):
-            for l in range(1, k + 1):
-                rows.append(
-                    _value_row(f"T^{d}/ball", f"R_{k}/R_{l}", rk[k] / rk[l], _henk_bound(k, l), tol.eq)
-                )
+        rows += _ratio_rows(f"T^{d}/ball", P, container("ball", d), pairs, _henk_bound, _value_row, tol)
     for label, P, _ in _random_sets(params, 30, 2000, 6, 15):
-        d = P.dim
-        rk = {k: core_radius(P, container("ball", d), k, tol).value for k in range(1, d + 1)}
-        for k in range(2, d + 1):
-            for l in range(1, k):
-                rows.append(_bound_row(label, f"R_{k}/R_{l}", rk[k] / rk[l], _henk_bound(k, l), tol.eq))
+        rows += _ratio_rows(label, P, container("ball", P.dim), _below(P.dim), _henk_bound, _bound_row, tol)
     return rows
 
 
-def _exp_jung(params, tol):
-    container = _containers(tol)
+def _exp_jung(params, tol, container):
     eps = float(np.sqrt(2.0) - 1.0)
     rows = []
     for label, P, _ in _random_sets(params, 20, 3000, 7, 25):
@@ -240,8 +231,7 @@ def _exp_jung(params, tol):
     return rows
 
 
-def _exp_bohnenblust(params, tol):
-    container = _containers(tol)
+def _exp_bohnenblust(params, tol, container):
     asymmetry = cache(lambda name, d: minkowski_asymmetry(container(name, d), tol))
     rows = []
     for d in params.get("dims", (2, 3, 4)):
@@ -264,8 +254,7 @@ def _exp_bohnenblust(params, tol):
     return rows
 
 
-def _identity_corpus(params, tol):
-    container = _containers(tol)
+def _identity_corpus(params, container):
     for d in params.get("dims", range(2, 5)):
         P = PointSet(simplex_vertices(d))
         yield f"T^{d}/-T^{d}", P, container("neg-simplex", d)
@@ -277,9 +266,9 @@ def _identity_corpus(params, tol):
         yield f"{label}/{_LABEL.get(name, name)}", P, container(name, P.dim)
 
 
-def _exp_identity_radii(params, tol):
+def _exp_identity_radii(params, tol, container):
     rows = []
-    for label, P, C in _identity_corpus(params, tol):
+    for label, P, C in _identity_corpus(params, container):
         for k in range(1, P.dim + 1):
             def one(label=label, P=P, C=C, k=k):
                 core = core_radius(P, C, k, tol)
@@ -291,28 +280,21 @@ def _exp_identity_radii(params, tol):
     return rows
 
 
-def _exp_symm_bound(params, tol):
-    container = _containers(tol)
+def _symm_bound(k, l):
+    # 2k/(k+1) up to l = (k+1)/2, where it meets k/l, and k/l beyond
+    return min(2 * k / (k + 1), k / l)
+
+
+def _exp_symm_bound(params, tol, container):
     rows = []
     for d in params.get("dims", (3, 4, 5)):
         for k in range(2, d):
-            prism = symmetric_counterexample(d, k, tol)
-            X = simplex_vertices(k)
-            P = PointSet(np.hstack([X, np.zeros((k + 1, d - k))]))
-            rk = {l: core_radius(P, prism, l, tol).value for l in range(1, k + 1)}
-            for l in range(1, k + 1):
-                bound = 2 * k / (k + 1) if l <= (k + 1) / 2 else k / l
-                rows.append(
-                    _value_row(f"T^{k} in R^{d}/prism", f"R_{k}/R_{l}", rk[k] / rk[l], bound, tol.eq)
-                )
+            P = PointSet(np.hstack([simplex_vertices(k), np.zeros((k + 1, d - k))]))
+            prism, pairs = symmetric_counterexample(d, k), [(k, l) for l in range(1, k + 1)]
+            rows += _ratio_rows(f"T^{k} in R^{d}/prism", P, prism, pairs, _symm_bound, _value_row, tol)
     for t, (label, P, _) in enumerate(_random_sets(params, 10, 6000, 5, 11)):
-        d = P.dim
-        C = container("cross" if t % 2 else "box", d)
-        rk = {k: core_radius(P, C, k, tol).value for k in range(1, d + 1)}
-        for k in range(2, d + 1):
-            for l in range(1, k):
-                bound = min(2 * k / (k + 1), k / l)
-                rows.append(_bound_row(label, f"R_{k}/R_{l}", rk[k] / rk[l], bound, tol.eq))
+        C = container("cross" if t % 2 else "box", P.dim)
+        rows += _ratio_rows(label, P, C, _below(P.dim), _symm_bound, _bound_row, tol)
     return rows
 
 
@@ -324,8 +306,7 @@ def _linear_size_bound(d: int, eps: float) -> int:
     return int(np.ceil(d / (1.0 + eps))) + 1
 
 
-def _exp_coreset_meb(params, tol):
-    container = _containers(tol)
+def _exp_coreset_meb(params, tol, container):
     eps_grid = params.get("eps", (0.1, 0.25, 0.5, 1.0))
     rows = []
     for label, P, _ in _random_sets(params, 12, 7000, 6, 13):
@@ -345,21 +326,20 @@ def _exp_coreset_meb(params, tol):
 
 
 def _cap_exact_size(d: int, eps: float) -> int:
-    # smallest k+1 with d <= (1+eps) * max((d+1)/2, k)
+    # smallest k+1 with d <= (1+eps) R_k(T, T ∩ -T)
     for k in range(1, d + 1):
-        rk = (d + 1) / 2 if k <= (d + 1) / 2 else float(k)
-        if d <= (1 + eps) * rk + 1e-12:
+        if d <= (1 + eps) * _lemma_cd(d, k) + 1e-12:
             return k + 1
     return d + 1
 
 
-def _exp_coreset_linear(params, tol):
+def _exp_coreset_linear(params, tol, container):
     eps_grid = params.get("eps", (0.25, 0.5, 0.9))
     dims = params.get("dims", range(3, 7))
     rows = []
     for d in dims:
         P = PointSet(simplex_vertices(d))
-        neg, cap = standard_container("neg-simplex", d, tol), standard_container("cap", d, tol)
+        neg, cap = container("neg-simplex", d), container("cap", d)
         for eps in eps_grid:
             bound = _linear_size_bound(d, eps)
             size_neg = optimal_coreset_size(P, neg, eps, tol)
@@ -376,8 +356,7 @@ def _exp_coreset_linear(params, tol):
     return rows
 
 
-def _exp_center_conformity(params, tol):
-    container = _containers(tol)
+def _exp_center_conformity(params, tol, container):
     rows = []
     for label, P, rng in _random_sets(params, 15, 8000, 6, 33):
         eps = float(rng.choice([0.1, 0.25, 0.5]))
@@ -396,11 +375,11 @@ def _exp_center_conformity(params, tol):
     return rows
 
 
-def _exp_panigrahy(params, tol):
+def _exp_panigrahy(params, tol, container):
     rows = []
     for d in params.get("dims", (3, 4, 5, 6)):
         X = simplex_vertices(d)
-        neg = standard_container("neg-simplex", d, tol)
+        neg = container("neg-simplex", d)
         S = PointSet(X[:d])
         sol = min_containment(S, neg, tol)
         body = sol.center + sol.rho * (-X)  # vertices of c_S + (d-1) * (-T^d)
@@ -424,8 +403,7 @@ def _exp_panigrahy(params, tol):
     return rows
 
 
-def _exp_parallelotope(params, tol):
-    container = _containers(tol)
+def _exp_parallelotope(params, tol, container):
     rows = []
     for label, P, _ in _random_sets(params, 20, 9000, 7, 13):
         box = container("box", P.dim)
@@ -437,8 +415,8 @@ def _exp_parallelotope(params, tol):
 
 _CATALOG = {
     "asymm": _exp_asymm,
-    "core-radii-neg-simplex": _exp_core_radii_neg_simplex,
-    "lemma-cd": _exp_lemma_cd,
+    "core-radii-neg-simplex": _simplex_radii("neg-simplex", "-T", range(2, 7), lambda d, k: k),
+    "lemma-cd": _simplex_radii("cap", "cap", range(2, 8), _lemma_cd),
     "henk": _exp_henk,
     "jung": _exp_jung,
     "bohnenblust": _exp_bohnenblust,
@@ -462,7 +440,9 @@ def run_experiment(
     if experiment not in _CATALOG:
         raise ValueError(f"unknown experiment {experiment!r}; known: {', '.join(_CATALOG)}")
     start = time.perf_counter()
-    rows = _CATALOG[experiment](params or {}, tol)
+    # each call builds each generated body once, through its own factory,
+    # so no container outlives the call and repeated calls do the same work
+    rows = _CATALOG[experiment](params or {}, tol, cache(standard_container))
     return ExperimentReport(experiment, rows, time.perf_counter() - start)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Container, DEFAULT_TOL, InvalidContainer, PointSet, Tolerance
+from .geometry import Container, InvalidContainer, PointSet
 
 __all__ = [
     "InstanceSpec",
@@ -36,6 +36,10 @@ __all__ = [
 # m x m null-space basis).  The pair test runs in _PAIR_CHUNK chunks.
 ENUM_BOUND = 1 << 20
 _PAIR_CHUNK = 1 << 18
+# The one tolerance of enumeration, relative to row norms: a ray leaves a
+# row's plane past it (``_extreme_rays``) and a row subset is regular
+# above it (``_keys``).  No solve tolerance reaches the generated bodies.
+_REL = 1e-9
 
 CONTAINERS = ("ball", "box", "cross", "simplex", "neg-simplex", "cap")
 
@@ -110,33 +114,33 @@ def regular_simplex(d: int) -> tuple[PointSet, Container]:
     return PointSet(simplex_vertices(d)), standard_container("simplex", d)
 
 
-def _cap_arrays(d: int, tol: Tolerance) -> tuple[np.ndarray, np.ndarray | None]:
+def _cap_arrays(d: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Normals of T ∩ (-T), the rows ±x_i, and its vertices by
     ``_polar_vertices``, or None when they exceed the enumeration bound."""
     X = simplex_vertices(d)
     normals = np.vstack([-X, X])
-    return normals, _polar_vertices(normals, tol)
+    return normals, _polar_vertices(normals)
 
 
-def simplex_cap_neg(d: int, tol: Tolerance = DEFAULT_TOL) -> Container:
+def simplex_cap_neg(d: int) -> Container:
     """The symmetric body T ∩ (-T): simplex intersected with its
     reflection, in dual representation, or half-space only when it has
     more vertices than the enumeration bound keeps (d = 10 and d >= 12)."""
-    normals, vertices = _cap_arrays(d, tol)
+    normals, vertices = _cap_arrays(d)
     if vertices is None:
         return Container.from_normals(normals)
     return Container.dual_rep(normals, vertices)
 
 
-def symmetric_counterexample(d: int, k: int, tol: Tolerance = DEFAULT_TOL) -> Container:
+def symmetric_counterexample(d: int, k: int) -> Container:
     """Prism over the k-dimensional T ∩ (-T), boxed in the remaining
     coordinates: (T^k ∩ -T^k) x [-1, 1]^(d-k); half-space only when the
     cap is."""
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
     if k == d:
-        return simplex_cap_neg(d, tol)
-    (cap_normals, cap_vertices), pad = _cap_arrays(k, tol), d - k
+        return simplex_cap_neg(d)
+    (cap_normals, cap_vertices), pad = _cap_arrays(k), d - k
     box = np.vstack([np.eye(pad), -np.eye(pad)])
     normals = np.block([[cap_normals, np.zeros((len(cap_normals), pad))], [np.zeros((2 * pad, k)), box]])
     if cap_vertices is None:
@@ -151,13 +155,12 @@ def _corners(d: int) -> np.ndarray:
     return np.array(np.meshgrid(*([[-1.0, 1.0]] * d), indexing="ij")).reshape(d, -1).T
 
 
-def standard_container(name: str, d: int, tol: Tolerance = DEFAULT_TOL) -> Container:
+def standard_container(name: str, d: int) -> Container:
     """The generated body of each name in ``CONTAINERS``, the one map from
     names to bodies: the Euclidean ball; the box [-1, 1]^d and the
     cross-polytope, both in dual representation; the regular simplex T
     (``simplex_vertices`` x_i, normals -x_i) and -T in dual
-    representation; and the cap T ∩ (-T) of ``simplex_cap_neg``, which
-    enumerates its vertices with ``tol``."""
+    representation; and the cap T ∩ (-T) of ``simplex_cap_neg``."""
     if name == "ball":
         return Container.ball(d)
     if name in ("box", "cross"):
@@ -167,7 +170,7 @@ def standard_container(name: str, d: int, tol: Tolerance = DEFAULT_TOL) -> Conta
         X = simplex_vertices(d)
         return Container.dual_rep(-X, X) if name == "simplex" else Container.dual_rep(X, -X)
     if name == "cap":
-        return simplex_cap_neg(d, tol)
+        return simplex_cap_neg(d)
     raise ValueError(f"unknown container {name!r}; known: {', '.join(CONTAINERS)}")
 
 
@@ -222,32 +225,32 @@ def random_pointset(n: int, d: int, seed: int, distribution: str = "ball-uniform
     return PointSet(pts)
 
 
-def vertex_enumeration(C: Container, tol: Tolerance = DEFAULT_TOL) -> Container:
+def vertex_enumeration(C: Container) -> Container:
     """Vertices of a bounded H-polytope (``_polar_vertices``), in dual
     representation; ``ValueError`` beyond ``ENUM_BOUND``."""
     if C.normals is None:
         raise InvalidContainer("vertex enumeration needs an H-representation")
-    X = _polar_vertices(C.normals, tol)
+    X = _polar_vertices(C.normals)
     if X is None:
         raise ValueError(f"vertex enumeration of {len(C.normals)} half-spaces exceeds ENUM_BOUND")
     return Container.dual_rep(C.normals, X)
 
 
-def _polar_vertices(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
+def _polar_vertices(rows: np.ndarray) -> np.ndarray | None:
     """Vertices of the bounded polyhedron {x : r.x <= 1 for every row r}
     (a polytope's vertices from its normals, or its facets from its
     vertices); None beyond ``ENUM_BOUND`` or past sqrt(ENUM_BOUND) of them.
     Vertex x is the ray (t x, 1) of {(y, s) : r.y / t <= s, s >= 0}, t = max |r|."""
     m, d = rows.shape
     G = np.hstack([np.vstack([rows / np.abs(rows).max(), np.zeros(d)]), -np.ones((m + 1, 1))])
-    zero = _extreme_rays(G, tol)
+    zero = _extreme_rays(G)
     if zero is None or len(zero) ** 2 > ENUM_BOUND:
         return None
     keys = _keys(rows, np.zeros((len(zero), m), dtype=bool), zero[:, :m])
     return np.linalg.solve(rows[keys], np.broadcast_to(np.ones((d, 1)), (len(keys), d, 1)))[..., 0]
 
 
-def _facet_duals(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
+def _facet_duals(A: np.ndarray) -> np.ndarray | None:
     """Vertices of {lam >= 0 : A^T lam = 0, sum(lam) = 1}, the facet
     program's dual feasible set, for unit-offset normals A that positively
     span; None beyond ``ENUM_BOUND`` or sqrt(ENUM_BOUND) rows.  They are
@@ -256,7 +259,7 @@ def _facet_duals(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | No
     (holding its support), clipped at zero.  The keys are chosen on
     [A / max|A|, 1], so that both columns weigh alike at any scale of A."""
     m, d = A.shape
-    zero = None if m * m > ENUM_BOUND else _extreme_rays(-np.linalg.svd(A.T)[2][d:].T, tol)
+    zero = None if m * m > ENUM_BOUND else _extreme_rays(-np.linalg.svd(A.T)[2][d:].T)
     if zero is None:
         return None
     rows = np.hstack([A, np.ones((m, 1))])
@@ -268,13 +271,13 @@ def _facet_duals(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | No
     return L
 
 
-def _extreme_rays(G: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
+def _extreme_rays(G: np.ndarray) -> np.ndarray | None:
     """The extreme rays of the pointed cone {x : G x <= 0} by double
     description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and
     Prodon 1996), each as its zero set: zero[r, i] when row i is tight at
     ray r.  None beyond ``ENUM_BOUND``.  Rows join the simplicial cone of a
-    basis in index order.  Row g drops the unit rays r with g.r > tol.pivot
-    |g|.  A dropped ray and a kept one with g.r < 0 give a ray on g.x = 0
+    basis in index order.  Row g drops the unit rays r with g.r > _REL |g|.
+    A dropped ray and a kept one with g.r < 0 give a ray on g.x = 0
     when adjacent, i.e. their common zero set has at least n - 2 rows and
     lies in no other ray's; that set plus g is the new ray's zero set."""
     m, n = G.shape
@@ -283,7 +286,7 @@ def _extreme_rays(G: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | N
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
     zero = np.zeros((n, m), dtype=np.float32)  # 0/1, so products count common zeros
     zero[:, basis] = 1.0 - np.eye(n)
-    slack, tests = tol.pivot * np.linalg.norm(G, axis=1), 0
+    slack, tests = _REL * np.linalg.norm(G, axis=1), 0
     for i in np.setdiff1d(np.arange(m), basis, assume_unique=True):
         s = rays @ G[i]
         out = s > slack[i]
@@ -314,17 +317,17 @@ def _extreme_rays(G: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | N
 
 def _keys(rows: np.ndarray, forced: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Per mask row, the lexicographically first regular d-subset of rows
-    (|det| above 1e-9 times its row norms' product) holding the ``forced``
+    (|det| above _REL times its row norms' product) holding the ``forced``
     rows and taking the rest from the ``allowed`` ones; sorted, distinct.
     Solved in order, they give the rows, bit for bit, of solving every
     regular d-subset and keeping each vertex's first solution.  When the
     first allowed rows are not regular, rows join greedily in index order
-    while the QR volume stays above 1e-9 (``det(M M^T)`` squares it)."""
+    while the QR volume stays above _REL (``det(M M^T)`` squares it)."""
     d = rows.shape[1]
     rank = np.where(forced, 0, np.where(allowed, 1, 2))
     keys = np.sort(np.argsort(rank, axis=1, kind="stable")[:, :d], axis=1)
     norms = np.linalg.norm(rows, axis=1)
-    regular = np.abs(np.linalg.det(rows[keys])) > 1e-9 * np.prod(norms[keys], axis=1)
+    regular = np.abs(np.linalg.det(rows[keys])) > _REL * np.prod(norms[keys], axis=1)
     bad = ~(np.take_along_axis(allowed, keys, axis=1).all(axis=1) & regular)
     for k in np.flatnonzero(bad):
         basis, rest = list(np.flatnonzero(forced[k])), np.flatnonzero(allowed[k] & ~forced[k])
@@ -332,7 +335,7 @@ def _keys(rows: np.ndarray, forced: np.ndarray, allowed: np.ndarray) -> np.ndarr
             Q, R = np.linalg.qr(rows[basis].T)
             volume = abs(np.prod(np.diag(R))) / np.prod(norms[basis])
             dist = np.linalg.norm(rows[rest] - rows[rest] @ Q @ Q.T, axis=1)
-            j = np.flatnonzero(volume * dist > 1e-9 * norms[rest])[:1]
+            j = np.flatnonzero(volume * dist > _REL * norms[rest])[:1]
             basis, rest = basis + list(rest[j]), rest[j[0] + 1 :] if len(j) else rest[:0]
         if len(basis) != d:
             raise InvalidContainer("enumeration met a vertex with no regular basis")

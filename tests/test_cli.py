@@ -161,6 +161,16 @@ class TestUsageErrors:
     def test_library_checks_exit_2(self, capsys, monkeypatch, argv, stdin):
         assert_usage_error(*run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch))
 
+    @pytest.mark.parametrize("mode", [[], ["--exact"], ["--zero"]])
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_eps_out_of_range_exit_2(self, capsys, monkeypatch, mode, eps):
+        # in every mode, the zero-core-set's too, which reads no eps
+        argv = ["coreset", "--eps", eps, "--container", "ball", *mode]
+        result = run_cli(capsys, argv, stdin=PLANE_PAIR, monkeypatch=monkeypatch)
+        assert_usage_error(*result)
+        message = f"--eps must be finite and nonnegative, got {float(eps)}"
+        assert json.loads(result[2])["error"] == message
+
 
 def test_tolerance_defaults_are_default_tol():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

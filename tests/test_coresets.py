@@ -265,6 +265,25 @@ class TestValidate:
             validate_coreset(P, Container.ball(2), [9], 0.1)
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -0.1])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda P, eps: greedy_coreset(P, Container.ball(3), eps),
+        lambda P, eps: optimal_coreset_size(P, Container.ball(3), eps),
+        lambda P, eps: validate_coreset(P, Container.ball(3), [0, 1], eps),
+        lambda P, eps: center_conformity_bound_check(P, [0, 1], eps),
+    ],
+    ids=["greedy", "optimal-size", "validate", "conformity"],
+)
+def test_eps_must_be_finite_and_nonnegative(check, eps):
+    # a NaN passes a guard such as `eps < 0`, since every comparison with
+    # it is false; coincident points also gave eps = inf an LpError
+    for P in (random_pointset(8, 3, seed=1), PointSet(np.full((4, 3), 2.0))):
+        with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+            check(P, eps)
+
+
 class TestBoxAmbiguity:
     def test_fixed_center_fails_but_search_passes(self):
         P = box_ambiguity_instance(3, 1.0)

@@ -79,6 +79,32 @@ def test_panigrahy_bound_meets_a_least_squares_oracle():
         assert upper - row.computed <= 1e-9
 
 
+@pytest.mark.parametrize("name", experiment_ids())
+def test_bodies_ignore_the_solve_tolerance(monkeypatch, name):
+    # under a loose solve tolerance the catalog builds every generated body
+    # bit for bit as its two defining arguments alone build it
+    from homothetics import experiments
+    from homothetics.geometry import Tolerance
+
+    def arrays(C):
+        return [
+            None if a is None else (a.shape, a.tobytes())
+            for a in (C.normals, C.vertices, C.facets, C.facet_duals)
+        ]
+
+    built = []
+    for attr in ("standard_container", "symmetric_counterexample"):
+        def record(*args, fn=getattr(experiments, attr)):
+            built.append((fn, args, fn(*args)))
+            return built[-1][2]
+
+        monkeypatch.setattr(experiments, attr, record)
+    run_experiment(name, QUICK, tol=Tolerance(feas=1e-6, pivot=1e-6, eq=1e-5))
+    assert built
+    for fn, args, C in built:
+        assert arrays(C) == arrays(fn(*args[:2])), args
+
+
 def test_unknown_experiment():
     with pytest.raises(ValueError):
         run_experiment("nope")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import pytest
 from homothetics import DEFAULT_TOL, Container, InvalidContainer, gauge, pointset_to_json, reflect
 from homothetics.geometry import _same_point_set
 from homothetics.instances import (
+    CONTAINERS,
     InstanceSpec,
     box_ambiguity_instance,
     random_pointset,
@@ -148,6 +150,42 @@ class TestStandardContainers:
     def test_unknown(self):
         with pytest.raises(ValueError):
             standard_container("egg", 3)
+
+
+def _digest(bodies) -> str:
+    """sha256 over the normals, vertices, facets and facet duals of each
+    body, with their dtypes and shapes."""
+    h = hashlib.sha256()
+    for C in bodies:
+        for a in (C.normals, C.vertices, C.facets, C.facet_duals):
+            h.update(b"none" if a is None else repr((a.dtype.str, a.shape)).encode() + a.tobytes())
+    return h.hexdigest()
+
+
+def _bodies(name):
+    if name == "prism":
+        return [symmetric_counterexample(d, k) for d in range(1, 7) for k in range(1, d + 1)]
+    return [standard_container(name, d) for d in range(1, 9)]
+
+
+# pinned when enumeration still took the solve tolerance (at its default);
+# the vertices and facet duals are LAPACK solves, so these are the bits of
+# numpy 2.4 with its bundled OpenBLAS on x86-64
+_BODY_DIGESTS = {
+    "ball": "2b6c877ca7939b8dfc050a192d5373ce30b47803a6bdee6cc65c5c4713417813",
+    "box": "86983ee34af5effa4463251b05da484387ca670a2a4b5814b51dea6de06cefb7",
+    "cross": "e2c903b176332bdbba24db72597c5f20738c5491d270fed9280d1300e8818ae1",
+    "simplex": "3e1b44f77d3d03b406a895f4fac0107deee00b2d728daf168e3c0302c2d6c7f7",
+    "neg-simplex": "7b103af78953c6d0885707981dfac979c11751b2bc51c9c45062ab8bdcd3d95d",
+    "cap": "83f1d1c535f2fa43b571df7b5f43d7cec48628b2061ce5d4121d677c4a1db3a8",
+    "prism": "2119e21f3e9ba161924442d6434e07cea0a493b73a925c9f587f452d272bc958",
+}
+
+
+@pytest.mark.parametrize("name", [*CONTAINERS, "prism"])
+def test_generated_bodies_bit_for_bit(name):
+    # every named body in R^1 to R^8 and every prism in R^1 to R^6
+    assert _digest(_bodies(name)) == _BODY_DIGESTS[name]
 
 
 class TestBoxAmbiguity:
